@@ -1453,93 +1453,15 @@ let telemetry_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* mailbox: the lock-free SPSC ring fast path against the locking mailbox,
-   and the occupancy-driven adaptive drain against fixed batch sizes.
-   Emits BENCH_mailbox.json and fails (exit 1) when the ring does not beat
-   the locking queue by >= 1.5x on the two-domain handoff, or when `Auto
-   channel selection regresses the 50-operator testbed by more than 5%
-   against `Locking. *)
+(* mailbox: the occupancy-driven adaptive drain against fixed batch sizes
+   on a 1 -> 1 pipeline, plus executor-level rates on the 50-operator
+   testbed and Fig. 11 under the default channels. Emits
+   BENCH_mailbox.json; it carries no gate. The per-operation price of each
+   ring is the benchmark's [mailbox.*_put_take_ns] layer. *)
 
 let mailbox_bench () =
-  section_header
-    "mailbox — SPSC ring vs locking mailbox, fixed vs adaptive drains";
-  let module Mb = Ss_runtime.Mailbox in
+  section_header "mailbox — fixed vs adaptive drains, executor rates";
   let cores = Stdlib.max 1 (Domain.recommended_domain_count ()) in
-  (* Raw channel throughput: one producer domain spinning tuples into the
-     channel, the main domain spinning them out — the executor's edge
-     traffic with every actor cost removed. Both sides busy-poll, so the
-     wall clock is the honest denominator; per-side best-of-rounds is the
-     usual min-time estimator. *)
-  let handoff create n =
-    let mb = create ~capacity:1024 in
-    let t0 = Unix.gettimeofday () in
-    let producer =
-      Domain.spawn (fun () ->
-          for i = 1 to n do
-            while not (Mb.try_put mb i) do
-              Domain.cpu_relax ()
-            done
-          done)
-    in
-    let consumed = ref 0 in
-    while !consumed < n do
-      match Mb.try_take mb with
-      | Some _ -> incr consumed
-      | None -> Domain.cpu_relax ()
-    done;
-    Domain.join producer;
-    float_of_int n /. Float.max (Unix.gettimeofday () -. t0) 1e-9
-  in
-  let best rounds f =
-    let r = ref 0.0 in
-    for _ = 1 to rounds do
-      r := Float.max !r (f ())
-    done;
-    !r
-  in
-  (* Per-operation cost with no cross-domain traffic: bursts of put/take
-     pairs on one domain. This isolates what the fast path removes — the
-     mutex round-trip per operation — and is meaningful even when the host
-     has a single core and the two-domain numbers are preemption-bound. *)
-  let alternate create n =
-    let mb = create ~capacity:1024 in
-    let burst = 64 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n / burst do
-      for i = 1 to burst do
-        ignore (Mb.try_put mb i)
-      done;
-      for _ = 1 to burst do
-        ignore (Mb.try_take mb)
-      done
-    done;
-    float_of_int n /. Float.max (Unix.gettimeofday () -. t0) 1e-9
-  in
-  let n = if !quick then 200_000 else 1_000_000 in
-  let rounds = if !quick then 3 else 5 in
-  let ring_rate =
-    best rounds (fun () -> handoff (fun ~capacity -> Mb.create_spsc ~capacity) n)
-  in
-  let lock_rate =
-    best rounds (fun () -> handoff (fun ~capacity -> Mb.create ~capacity) n)
-  in
-  let ratio = ring_rate /. lock_rate in
-  Printf.printf "two-domain handoff (%d items, best of %d rounds):\n" n rounds;
-  Printf.printf "  spsc ring:       %12.0f items/s\n" ring_rate;
-  Printf.printf "  locking mailbox: %12.0f items/s\n" lock_rate;
-  Printf.printf "  speedup:         %12.2fx\n" ratio;
-  let ring_alt =
-    best rounds (fun () ->
-        alternate (fun ~capacity -> Mb.create_spsc ~capacity) n)
-  in
-  let lock_alt =
-    best rounds (fun () -> alternate (fun ~capacity -> Mb.create ~capacity) n)
-  in
-  let alt_ratio = ring_alt /. lock_alt in
-  Printf.printf "single-domain put/take bursts (%d items):\n" n;
-  Printf.printf "  spsc ring:       %12.0f items/s\n" ring_alt;
-  Printf.printf "  locking mailbox: %12.0f items/s\n" lock_alt;
-  Printf.printf "  speedup:         %12.2fx\n" alt_ratio;
   (* Executor-level comparisons use tuples per CPU second with the trimmed
      estimator (see the telemetry section for why wall clock is unusable on
      this host). *)
@@ -1563,8 +1485,8 @@ let mailbox_bench () =
     Ss_runtime.Executor.source_of_fn ~count:tuples (fun i ->
         Ss_operators.Tuple.make ~key:i [| float_of_int i |])
   in
-  let run ?channels ?batch ~tuples topo () =
-    Ss_runtime.Executor.run ~scheduler:(`Pool cores) ?channels ?batch
+  let run ?batch ~tuples topo () =
+    Ss_runtime.Executor.run ~scheduler:(`Pool cores) ?batch
       ~timeout:300.0
       ~instrument:
         {
@@ -1573,8 +1495,7 @@ let mailbox_bench () =
         }
       ~source:(source tuples) ~registry topo
   in
-  (* A pure 1 -> 1 pipeline: every edge is ring-eligible, so this is the
-     executor-level ceiling of the fast path. *)
+  (* A pure 1 -> 1 pipeline: every edge rides the SPSC ring. *)
   let pipeline =
     let ops =
       Array.init 5 (fun i ->
@@ -1583,14 +1504,10 @@ let mailbox_bench () =
     Topology.create_exn ops (List.init 4 (fun i -> (i, i + 1, 1.0)))
   in
   let ptuples = if !quick then 10_000 else 40_000 in
-  let pipe_auto = cpu_rate ~tuples:ptuples (run ~channels:`Auto ~tuples:ptuples pipeline) in
-  let pipe_lock =
-    cpu_rate ~tuples:ptuples (run ~channels:`Locking ~tuples:ptuples pipeline)
-  in
+  let pipe_rate = cpu_rate ~tuples:ptuples (run ~tuples:ptuples pipeline) in
   Printf.printf "1->1 pipeline, executor pool of %d (%d tuples):\n" cores
     ptuples;
-  Printf.printf "  channels auto:    %10.0f tuples/CPU-s\n" pipe_auto;
-  Printf.printf "  channels locking: %10.0f tuples/CPU-s\n" pipe_lock;
+  Printf.printf "  default drains: %10.0f tuples/CPU-s\n" pipe_rate;
   (* Fixed-vs-adaptive drain sweep on the same pipeline. *)
   let sweep_points =
     [
@@ -1610,28 +1527,18 @@ let mailbox_bench () =
   List.iter
     (fun (name, r) -> Printf.printf "  %-12s %10.0f tuples/CPU-s\n" name r)
     sweep;
-  (* The 50-operator testbed of the sched section: fan-in edges keep the
-     locking mailbox, so this checks the mixed case for regressions. *)
+  (* The 50-operator testbed of the sched section: the mixed case, with
+     fan-in entries and fission merge points on the MPSC ring. *)
   let testbed_topo =
     Random_topology.generate_with_sizes (Rng.create testbed_seed) ~vertices:50
       ~edges:55
   in
   let ttuples = if !quick then 5_000 else 30_000 in
-  let tb_auto =
-    cpu_rate ~tuples:ttuples (run ~channels:`Auto ~tuples:ttuples testbed_topo)
-  in
-  let tb_lock =
-    cpu_rate ~tuples:ttuples
-      (run ~channels:`Locking ~tuples:ttuples testbed_topo)
-  in
-  let regression_pct = 100.0 *. (1.0 -. (tb_auto /. tb_lock)) in
-  Printf.printf "50-operator testbed (%d tuples):\n" ttuples;
-  Printf.printf "  channels auto:    %10.0f tuples/CPU-s\n" tb_auto;
-  Printf.printf "  channels locking: %10.0f tuples/CPU-s (auto regression %.1f%%)\n"
-    tb_lock regression_pct;
-  (* Fig. 11 tuples per CPU second under the default (auto) channels — the
-     paper topology's bottom line, recorded so later changes can be held to
-     it. *)
+  let tb_rate = cpu_rate ~tuples:ttuples (run ~tuples:ttuples testbed_topo) in
+  Printf.printf "50-operator testbed (%d tuples): %10.0f tuples/CPU-s\n"
+    ttuples tb_rate;
+  (* Fig. 11 tuples per CPU second — the paper topology's bottom line,
+     recorded so later changes can be held to it. *)
   let fig11_topology = fig11 [ 1.0; 1.2; 0.7; 2.0; 1.5; 0.2 ] in
   let ftuples = if !quick then 10_000 else 40_000 in
   let fig11_rate =
@@ -1640,38 +1547,16 @@ let mailbox_bench () =
   Printf.printf "fig11 topology: %10.0f tuples/CPU-s\n" fig11_rate;
   let json =
     Printf.sprintf
-      {|{"section":"mailbox","cores":%d,"handoff":{"items":%d,"ring_rate":%.1f,"locking_rate":%.1f,"ratio":%.3f},"alternate":{"items":%d,"ring_rate":%.1f,"locking_rate":%.1f,"ratio":%.3f},"pipeline":{"tuples":%d,"auto_rate":%.1f,"locking_rate":%.1f},"sweep":[%s],"testbed":{"tuples":%d,"auto_rate":%.1f,"locking_rate":%.1f,"regression_pct":%.2f},"fig11":{"tuples":%d,"rate":%.1f}}|}
-      cores n ring_rate lock_rate ratio n ring_alt lock_alt alt_ratio ptuples
-      pipe_auto pipe_lock
+      {|{"section":"mailbox","cores":%d,"pipeline":{"tuples":%d,"rate":%.1f},"sweep":[%s],"testbed":{"tuples":%d,"rate":%.1f},"fig11":{"tuples":%d,"rate":%.1f}}|}
+      cores ptuples pipe_rate
       (String.concat ","
          (List.map
             (fun (name, r) ->
               Printf.sprintf {|{"batch":"%s","rate":%.1f}|} name r)
             sweep))
-      ttuples tb_auto tb_lock regression_pct ftuples fig11_rate
+      ttuples tb_rate ftuples fig11_rate
   in
-  write_bench_json "BENCH_mailbox.json" json;
-  let failed = ref false in
-  (* The 1.5x gate applies to the two-domain handoff when the host can
-     actually run producer and consumer in parallel; on a single core that
-     measurement is preemption-bound, so the per-operation burst ratio
-     carries the gate instead. *)
-  let gate_name, gate_ratio =
-    if cores < 2 then ("single-domain burst", alt_ratio)
-    else ("two-domain handoff", ratio)
-  in
-  if gate_ratio < 1.5 then begin
-    Printf.printf "FAIL: ring speedup %.2fx (%s) below the 1.5x gate\n"
-      gate_ratio gate_name;
-    failed := true
-  end;
-  if regression_pct > 5.0 then begin
-    Printf.printf
-      "FAIL: auto channels regress the testbed by %.1f%% (budget 5%%)\n"
-      regression_pct;
-    failed := true
-  end;
-  if !failed then exit 1
+  write_bench_json "BENCH_mailbox.json" json
 
 (* ------------------------------------------------------------------ *)
 (* log: the durable sharded ingest path (lib/log). Measures ingest MB/s

@@ -504,16 +504,6 @@ let execute_cmd =
                 mailbox's drain from an EWMA of its observed occupancy \
                 within [1, 32] ($(b,auto:MAX) adjusts the ceiling).")
   in
-  let channels =
-    Arg.(
-      value
-      & opt (enum [ ("auto", `Auto); ("locking", `Locking) ]) `Auto
-      & info [ "channels" ] ~docv:"MODE"
-          ~doc:"Mailbox implementation: $(b,auto) (default) backs \
-                single-producer/single-consumer edges with a lock-free \
-                SPSC ring and fan-in edges with the locking mailbox; \
-                $(b,locking) forces the locking mailbox everywhere.")
-  in
   let telemetry =
     Arg.(
       value & flag
@@ -617,7 +607,7 @@ let execute_cmd =
              Counts are identical either way.")
   in
   let run path fused fusion tuples buffer timeout scheduler workers groups seed
-      batch channels telemetry event_time watermark lateness disorder prom_out
+      batch telemetry event_time watermark lateness disorder prom_out
       json_out =
     (match timeout with
     | Some limit when limit <= 0.0 ->
@@ -677,7 +667,7 @@ let execute_cmd =
     let metrics =
       Ss_tool.Session.execute session ~fused ~fusion ~tuples
         ~mailbox_capacity:buffer ?timeout ~scheduler ?placement ~seed ~batch
-        ~channels ~instrument ?event_time:event_time_config ~disorder ()
+        ~instrument ?event_time:event_time_config ~disorder ()
     in
     print_string (Ss_tool.Session.runtime_report session metrics);
     if event_time && lateness = `Side then
@@ -710,7 +700,7 @@ let execute_cmd =
              or the timeout fires.")
     Term.(
       const run $ topology_arg $ fused $ fusion $ tuples $ buffer $ timeout
-      $ scheduler $ workers $ groups $ seed_arg $ batch $ channels $ telemetry
+      $ scheduler $ workers $ groups $ seed_arg $ batch $ telemetry
       $ event_time $ watermark $ lateness $ disorder $ prom_out $ json_out)
 
 (* ------------------------------------------------------------------ *)

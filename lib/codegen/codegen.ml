@@ -78,14 +78,12 @@ let scheduler_expr = function
   | `Pool None -> "`Pool (Stdlib.max 1 (Domain.recommended_domain_count ()))"
   | `Pool (Some w) -> Printf.sprintf "`Pool %d" w
 
-(* The channel choice and drain policy are emitted explicitly so a
-   generated program documents — and pins — how its edges are backed,
-   independently of the executor's defaults at deployment time. *)
+(* The drain policy is emitted explicitly so a generated program documents
+   — and pins — how its actors drain their mailboxes, independently of the
+   executor's defaults at deployment time. *)
 let batch_expr = function
   | `Fixed b -> Printf.sprintf "`Fixed %d" b
   | `Adaptive b -> Printf.sprintf "`Adaptive %d" b
-
-let channels_expr = function `Auto -> "`Auto" | `Locking -> "`Locking"
 
 (* Source-level closed loop for a fused group whose members are all stubs:
    the stub bodies (busy-wait spin plus selectivity credit) are inlined
@@ -191,7 +189,7 @@ let emit_chain buf ~gi ~members topology =
 
 let program ?(fused = []) ?(fusion = `Auto) ?(tuples = 100_000) ?(seed = 42)
     ?(scheduler = `Pool None) ?placement ?(batch = `Adaptive 32)
-    ?(channels = `Auto) ?(telemetry = false) topology =
+    ?(telemetry = false) topology =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let src = Topology.source topology in
@@ -296,8 +294,7 @@ let program ?(fused = []) ?(fusion = `Auto) ?(tuples = 100_000) ?(seed = 42)
          machine with a different core count. *)
       line "      ~placement:[| %s |]"
         (String.concat "; " (Array.to_list (Array.map string_of_int p))));
-  line "      ~batch:(%s) ~channels:%s" (batch_expr batch)
-    (channels_expr channels);
+  line "      ~batch:(%s)" (batch_expr batch);
   if telemetry then begin
     line "      ~instrument:";
     line "        { Ss_runtime.Executor.default_instrument with telemetry = true }"
@@ -338,7 +335,7 @@ let dune_stanza ~name =
     name
 
 let write_project ~dir ~name ?fused ?fusion ?tuples ?seed ?scheduler ?placement
-    ?batch ?channels ?telemetry topology =
+    ?batch ?telemetry topology =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write path contents =
     let oc = open_out path in
@@ -348,6 +345,6 @@ let write_project ~dir ~name ?fused ?fusion ?tuples ?seed ?scheduler ?placement
   in
   write
     (Filename.concat dir (name ^ ".ml"))
-    (program ?fused ?fusion ?tuples ?seed ?scheduler ?placement ?batch ?channels
+    (program ?fused ?fusion ?tuples ?seed ?scheduler ?placement ?batch
        ?telemetry topology);
   write (Filename.concat dir "dune") (dune_stanza ~name)

@@ -22,7 +22,6 @@ val program :
   ?scheduler:[ `Domains | `Pool of int option ] ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
-  ?channels:Ss_runtime.Executor.channels ->
   ?telemetry:bool ->
   Ss_topology.Topology.t ->
   string
@@ -38,11 +37,10 @@ val program :
     [placement] (an {!Ss_placement}-style vertex->node assignment) is
     emitted as an explicit [~placement] array so the deployed program
     keeps its locality plan; omitted when [None].
-    [batch] (default [`Adaptive 32]) and [channels] (default [`Auto]) are
-    emitted verbatim as the generated run's drain policy and channel
-    selection, so the program pins its edge-implementation choice
-    explicitly. [telemetry] (default [false]) makes the generated program
-    run with telemetry on and print per-vertex latency snapshots.
+    [batch] (default [`Adaptive 32]) is emitted verbatim as the generated
+    run's drain policy, so the program pins it explicitly. [telemetry]
+    (default [false]) makes the generated program run with telemetry on
+    and print per-vertex latency snapshots.
 
     [fusion] (default [`Auto]) selects how fused groups execute.
     [`Auto] leaves the choice to the executor's deploy-time staging
@@ -71,7 +69,6 @@ val write_project :
   ?scheduler:[ `Domains | `Pool of int option ] ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
-  ?channels:Ss_runtime.Executor.channels ->
   ?telemetry:bool ->
   Ss_topology.Topology.t ->
   unit

@@ -26,7 +26,6 @@ val run :
   ?scheduler:Ss_runtime.Executor.scheduler ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
-  ?channels:Ss_runtime.Executor.channels ->
   ?instrument:Ss_runtime.Executor.instrument ->
   ?event_time:Ss_event.Event_time.config ->
   ?disorder:Ss_workload.Stream_gen.disorder ->
@@ -38,7 +37,7 @@ val run :
     {!Ss_workload.Stream_gen} — or, with [ingest], replays a durable
     {!Ss_log.Log} instead (at-least-once; [tuples] and [stream_spec] are
     then ignored). Options ([timeout], [scheduler],
-    [placement], [batch], [channels], [instrument], [event_time] and
+    [placement], [batch], [instrument], [event_time] and
     [fusion] — the fused-group execution mode, default deploy-time staging
     with interpreted fallback — included) are forwarded to
     {!Ss_runtime.Executor.run}; the returned metrics carry the supervised

@@ -201,7 +201,6 @@ end
 
 type scheduler = [ `Domain_per_actor | `Pool of int | `Locked_pool of int ]
 type batch = [ `Fixed of int | `Adaptive of int ]
-type channels = [ `Auto | `Locking ]
 
 (* Shared-memory control plane between a running deployment and the elastic
    controller. [target] is written by the controller; the unit's emitter
@@ -299,7 +298,7 @@ type ctx = {
 let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     ?(mailbox_capacity = 64) ?(fused = []) ?(fusion = `Compiled) ?(chains = [])
     ?(flush_every = 4096) ?(routers = []) ?(ordered = []) ?(seed = 42) ?timeout
-    ?scheduler ?placement ?(batch = `Adaptive 32) ?(channels = `Auto)
+    ?scheduler ?placement ?(batch = `Adaptive 32)
     ?(instrument = default_instrument) ~source ~registry topology =
   if flush_every < 1 then
     invalid_arg "Executor.run: flush_every must be >= 1";
@@ -441,16 +440,14 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
          0
   in
   (* Channel selection is static, from the topology: an edge with a single
-     producing actor and a single consuming actor gets the lock-free SPSC
-     ring; fan-in edges (multi-predecessor entries, fission merge points)
-     keep the locking MPSC mailbox. A unit's fan-out never matters: each
-     out-edge targets a distinct mailbox, so fan-out does not add
-     producers to any one of them. [`Locking] forces the locking
-     implementation everywhere (for differential benchmarks). *)
+     producing actor gets the SPSC ring; fan-in edges (multi-predecessor
+     entries, fission merge points) get the MPSC ring. Every mailbox has
+     one consuming actor. A unit's fan-out never matters: each out-edge
+     targets a distinct mailbox, so fan-out does not add producers to any
+     one of them. *)
   let new_mailbox ~spsc () =
     let mb =
-      if spsc && channels = `Auto then
-        Mailbox.create_spsc ~capacity:mailbox_capacity
+      if spsc then Mailbox.create_spsc ~capacity:mailbox_capacity
       else Mailbox.create ~capacity:mailbox_capacity
     in
     Supervision.register_closer sup (fun () -> Mailbox.close mb);
@@ -1504,8 +1501,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         (* Parallel operator: emitter, replicas, collector (§4.2). The
            emitter->worker channels are SPSC (one producer: the emitter;
            one consumer: that worker); the collector mailbox is the fission
-           merge point — every worker publishes into it — so it stays on
-           the locking MPSC implementation. *)
+           merge point — every worker publishes into it — so it gets the
+           MPSC ring. *)
         let replicas = op.Operator.replicas in
         let worker_mb = Array.init replicas (fun _ -> new_mailbox ~spsc:true ()) in
         let collector_mb = new_mailbox ~spsc:false () in
@@ -2539,10 +2536,10 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
 
 let run ?ingest ?event_time ?mailbox_capacity ?fused ?fusion ?chains
     ?flush_every ?routers ?ordered ?seed ?timeout ?scheduler ?placement ?batch
-    ?channels ?instrument ~source ~registry topology =
+    ?instrument ~source ~registry topology =
   run_internal ?ingest ?event_time ?mailbox_capacity ?fused ?fusion ?chains
     ?flush_every ?routers ?ordered ?seed ?timeout ?scheduler ?placement ?batch
-    ?channels ?instrument ~source ~registry topology
+    ?instrument ~source ~registry topology
 
 (* ------------------------------------------------------------------ *)
 (* Live deployments: the executor runs on its own domain while the caller
@@ -2560,7 +2557,6 @@ module Live = struct
   let start ?event_time ?(mailbox_capacity = 64) ?fused ?fusion ?chains
       ?flush_every ?(routers = []) ?(seed = 42) ?timeout ?workers
       ?(reserve = 0) ?(locked = false) ?(batch = `Adaptive 32)
-      ?(channels = `Auto)
       ?(instrument = { default_instrument with telemetry = true }) ~source
       ~registry topology =
     let n = Topology.size topology in
@@ -2605,7 +2601,7 @@ module Live = struct
           try
             run_internal ~control:ctl ~notify ?event_time ~reserve
               ~mailbox_capacity ?fused ?fusion ?chains ?flush_every ~routers
-              ~seed ?timeout ~scheduler ~batch ~channels ~instrument ~source
+              ~seed ?timeout ~scheduler ~batch ~instrument ~source
               ~registry topology
           with e ->
             Mutex.lock ready_m;

@@ -153,18 +153,6 @@ val ingest :
 
     @raise Invalid_argument if [commit_every < 1] or [read_batch < 1]. *)
 
-type channels = [ `Auto | `Locking ]
-(** Mailbox implementation selection. [`Auto] (the default) statically
-    assigns each channel from the topology: an edge with exactly one
-    producing actor and one consuming actor — an entry mailbox fed by a
-    single upstream unit, or a fission-internal emitter->worker /
-    worker->collector(ordered) channel — gets the lock-free SPSC ring
-    ({!Spsc_ring}); fan-in edges (multi-predecessor entries and fission
-    merge points) keep the locking MPSC mailbox. [`Locking] forces the
-    locking implementation everywhere, for differential benchmarks. Both
-    implementations share the close/poison, batching and occupancy
-    behavior, so the choice is invisible to everything but throughput. *)
-
 val run :
   ?ingest:ingest ->
   ?event_time:Ss_event.Event_time.config ->
@@ -180,7 +168,6 @@ val run :
   ?scheduler:scheduler ->
   ?placement:int array ->
   ?batch:batch ->
-  ?channels:channels ->
   ?instrument:instrument ->
   source:(unit -> Ss_operators.Tuple.t option) ->
   registry:(int -> Ss_operators.Behavior.t) ->
@@ -266,8 +253,9 @@ val run :
     and routing are placement-independent; only locality changes.
     Placement is ignored under [`Domain_per_actor].
     [batch] (default [`Adaptive 32]) sets the per-activation
-    drain policy of pooled actors; [channels] (default [`Auto]) selects
-    the mailbox implementation per edge. [instrument] (default
+    drain policy of pooled actors. Each edge gets the single-producer ring
+    when one actor feeds it and the multi-producer ring otherwise (see
+    {!Mailbox}). [instrument] (default
     {!default_instrument}) selects runtime instrumentation: occupancy
     sampling and/or telemetry recording; when occupancy sampling is off no
     monitor domain is spawned in [`Domain_per_actor] mode and the pool
@@ -318,7 +306,6 @@ module Live : sig
     ?reserve:int ->
     ?locked:bool ->
     ?batch:batch ->
-    ?channels:channels ->
     ?instrument:instrument ->
     source:(unit -> Ss_operators.Tuple.t option) ->
     registry:(int -> Ss_operators.Behavior.t) ->

@@ -1,256 +1,335 @@
-(* Both implementations raise physically the same exception so callers —
-   and the supervision protocol — never care which one backs an edge. *)
-exception Closed = Spsc_ring.Closed
+exception Closed
 
-(* --- locking MPSC implementation ---------------------------------- *)
+(* One bounded lock-free ring backs both channel kinds. Positions [head]
+   (next to consume) and [tail] (next to claim) grow monotonically (63-bit
+   counters never wrap in practice); position [pos] lives in slot
+   [pos land mask]. A producer claims only while [tail - head < capacity],
+   so occupancy never exceeds [capacity] and a claimed slot was always
+   consumed a lap earlier.
 
-type 'a locking = {
-  capacity : int;
-  queue : 'a Queue.t;
-  mutex : Mutex.t;
-  not_full : Condition.t;
-  not_empty : Condition.t;
-  (* Parked-task wakeup callbacks (scheduler resumptions). Registered by
-     [on_space]/[on_item] only while the awaited condition does not hold;
-     drained — and invoked outside the lock — whenever it may again. *)
+   - SPSC: the one producer owns [tail]. It stores the slots, then
+     publishes them all with [Atomic.set tail].
+   - MPSC (Vyukov): producers claim [pos, pos + n) with one CAS on [tail],
+     store each slot and publish it with [Atomic.set seq.(i) (pos + 1)].
+     The consumer takes the prefix whose stamps match. A slot claimed but
+     not yet published holds the consumer back until its producer
+     publishes it, so no [Sched.suspend] may sit between a claim and its
+     publish (none does: both happen inside one call below).
+
+   [Atomic] operations are sequentially consistent, so a plain slot store
+   followed by the publishing [Atomic.set] is visible to whoever reads
+   that atomic, and the consumer's clearing store before [Atomic.set head]
+   is visible to a producer that read [head].
+
+   Slots hold [Obj.t], with a unique out-of-band sentinel [nil] marking an
+   empty slot: values are stored with [Obj.repr] directly, avoiding a
+   [Some]-box per enqueue. The array is created from a heap-allocated
+   sentinel, so it is a regular (boxed) array even when ['a = float].
+
+   Waiters. Every mailbox has exactly one consuming actor, so at most one
+   item waiter is outstanding: one atomic slot, no lock. Producers may be
+   many, so space waiters queue under [wlock]; [space_waiting] lets the
+   consumer skip that lock while nobody is parked. The no-lost-wakeup
+   arguments are at [on_item] and [on_space]. *)
+type 'a t = {
+  mpsc : bool;
+  mask : int; (* slot-array length - 1; power of two *)
+  buf : Obj.t array;
+  seq : int Atomic.t array; (* MPSC publication stamps; [||] on SPSC *)
+  capacity : int; (* requested bound, honored exactly (<= mask + 1) *)
+  head : int Atomic.t; (* written by the consumer only *)
+  tail : int Atomic.t;
+  (* Producers' last view of [head]. Racy under MPSC, but every value
+     written was read from [head] earlier, so it never runs ahead and a
+     stale view only makes the ring look fuller. *)
+  mutable cached_head : int;
+  mutable cached_tail : int; (* SPSC consumer's last view of [tail] *)
+  closed : bool Atomic.t;
+  item_waiter : (unit -> unit) option Atomic.t;
+  space_waiting : bool Atomic.t;
+  wlock : Mutex.t;
+  wcond : Condition.t; (* blocking put/take park on this *)
   space_waiters : (unit -> unit) Queue.t;
-  item_waiters : (unit -> unit) Queue.t;
-  mutable closed : bool;
 }
 
-let create_lk ~capacity =
+let nil : Obj.t = Obj.repr (ref ())
+
+let make ~mpsc ~capacity =
+  if capacity < 1 then invalid_arg "Mailbox.create: capacity must be >= 1";
+  let rec pow2 n = if n >= capacity then n else pow2 (n * 2) in
+  let slots = pow2 1 in
   {
+    mpsc;
+    mask = slots - 1;
+    buf = Array.make slots nil;
+    (* Position [i] publishes stamp [i + 1], so 0 matches no position. *)
+    seq = (if mpsc then Array.init slots (fun _ -> Atomic.make 0) else [||]);
     capacity;
-    queue = Queue.create ();
-    mutex = Mutex.create ();
-    not_full = Condition.create ();
-    not_empty = Condition.create ();
+    head = Atomic.make 0;
+    tail = Atomic.make 0;
+    cached_head = 0;
+    cached_tail = 0;
+    closed = Atomic.make false;
+    item_waiter = Atomic.make None;
+    space_waiting = Atomic.make false;
+    wlock = Mutex.create ();
+    wcond = Condition.create ();
     space_waiters = Queue.create ();
-    item_waiters = Queue.create ();
-    closed = false;
   }
 
-(* Every operation holds the mutex inside [Fun.protect] so an exception on
-   any path — including the deliberate [Closed] raise — releases the lock
-   and cannot wedge peer actors. *)
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let create ~capacity = make ~mpsc:true ~capacity
+let create_spsc ~capacity = make ~mpsc:false ~capacity
+let capacity t = t.capacity
+let is_closed t = Atomic.get t.closed
+let[@inline] check_open t = if Atomic.get t.closed then raise Closed
 
-let drain q =
-  let ws = List.of_seq (Queue.to_seq q) in
-  Queue.clear q;
+let length t =
+  if Atomic.get t.closed then 0
+  else
+    (* [tail] first: [head] only grows, so the difference never exceeds
+       [capacity]. *)
+    let tail = Atomic.get t.tail in
+    Int.max 0 (tail - Atomic.get t.head)
+
+(* Callbacks run outside every lock: a resumed task may touch this
+   mailbox at once. *)
+let wake_item t =
+  match Atomic.exchange t.item_waiter None with Some k -> k () | None -> ()
+
+let[@inline] notify_item t =
+  match Atomic.get t.item_waiter with Some _ -> wake_item t | None -> ()
+
+let take_space_waiters t =
+  Atomic.set t.space_waiting false;
+  let ws = List.of_seq (Queue.to_seq t.space_waiters) in
+  Queue.clear t.space_waiters;
   ws
 
-(* Like [locked], but [f] additionally returns wakeup callbacks collected
-   under the lock; they run after the unlock so a resumed task can touch
-   the mailbox immediately without self-deadlock. Paths that raise collect
-   no wakeups (close already woke everyone). *)
-let locked_wake t f =
-  let result, wakeups = locked t f in
-  List.iter (fun w -> w ()) wakeups;
-  result
+let wake_space t =
+  Mutex.lock t.wlock;
+  let ws = take_space_waiters t in
+  Mutex.unlock t.wlock;
+  List.iter (fun k -> k ()) ws
 
-let signal_item t =
-  Condition.signal t.not_empty;
-  drain t.item_waiters
+let[@inline] notify_space t = if Atomic.get t.space_waiting then wake_space t
 
-let signal_space t =
-  Condition.signal t.not_full;
-  drain t.space_waiters
+(* --- producer side ------------------------------------------------- *)
 
-let put_lk t x =
-  locked_wake t (fun () ->
-      while (not t.closed) && Queue.length t.queue >= t.capacity do
-        Condition.wait t.not_full t.mutex
-      done;
-      if t.closed then raise Closed;
-      Queue.push x t.queue;
-      ((), signal_item t))
+(* Free slots seen from claim position [pos]; refreshes the cached head
+   only when the cache shows fewer than [want]. Never overstates, because
+   the cache never runs ahead of [head]. *)
+let[@inline] free t pos want =
+  let f = t.capacity - (pos - t.cached_head) in
+  if f >= want then f
+  else begin
+    let h = Atomic.get t.head in
+    t.cached_head <- h;
+    t.capacity - (pos - h)
+  end
 
-let take_lk t =
-  locked_wake t (fun () ->
-      while (not t.closed) && Queue.is_empty t.queue do
-        Condition.wait t.not_empty t.mutex
-      done;
-      if t.closed then raise Closed;
-      let x = Queue.pop t.queue in
-      (x, signal_space t))
+let[@inline] store t pos x =
+  let i = pos land t.mask in
+  Array.unsafe_set t.buf i (Obj.repr x);
+  if t.mpsc then Atomic.set (Array.unsafe_get t.seq i) (pos + 1)
 
-let try_put_lk t x =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let ok = Queue.length t.queue < t.capacity in
-      if ok then begin
-        Queue.push x t.queue;
-        (ok, signal_item t)
-      end
-      else (ok, []))
+(* After [store]s of [pos, pos + n): SPSC publishes them here. *)
+let[@inline] published_upto t pos n =
+  if not t.mpsc then Atomic.set t.tail (pos + n);
+  notify_item t
 
-let try_take_lk t =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      if Queue.is_empty t.queue then (None, [])
-      else
-        let x = Queue.pop t.queue in
-        (Some x, signal_space t))
+let rec try_put t x =
+  check_open t;
+  let pos = Atomic.get t.tail in
+  if free t pos 1 <= 0 then false
+  else if t.mpsc && not (Atomic.compare_and_set t.tail pos (pos + 1)) then
+    try_put t x
+  else begin
+    store t pos x;
+    published_upto t pos 1;
+    true
+  end
 
-(* Multi-item publish in one lock round-trip: push while capacity lasts,
-   hand back the suffix that did not fit (physically shared — no
-   allocation). *)
-let try_put_chunk_lk t xs =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let rec fill = function
-        | x :: rest when Queue.length t.queue < t.capacity ->
-            Queue.push x t.queue;
-            fill rest
-        | rest -> rest
-      in
-      let n0 = Queue.length t.queue in
-      let rest = fill xs in
-      if Queue.length t.queue > n0 then begin
-        Condition.broadcast t.not_empty;
-        (rest, drain t.item_waiters)
-      end
-      else (rest, []))
+let rec length_upto n lim = function
+  | _ :: rest when n < lim -> length_upto (n + 1) lim rest
+  | _ -> n
 
-let put_batch_lk t xs =
-  let rec go = function
-    | [] -> ()
-    | xs ->
-        locked_wake t (fun () ->
-            while (not t.closed) && Queue.length t.queue >= t.capacity do
-              Condition.wait t.not_full t.mutex
-            done;
-            if t.closed then raise Closed;
-            let rec fill = function
-              | x :: rest when Queue.length t.queue < t.capacity ->
-                  Queue.push x t.queue;
-                  fill rest
-              | rest -> rest
-            in
-            let rest = fill xs in
-            (rest, (Condition.broadcast t.not_empty; drain t.item_waiters)))
-        |> go
-  in
-  go xs
-
-let take_batch_lk t ~max ~into =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let avail = Queue.length t.queue in
-      let n = Stdlib.min max avail in
-      if n = avail then Queue.transfer t.queue into
-      else
-        for _ = 1 to n do
-          Queue.push (Queue.pop t.queue) into
-        done;
-      if n > 0 then begin
-        Condition.broadcast t.not_full;
-        (avail, drain t.space_waiters)
-      end
-      else (avail, []))
-
-let on_space_lk t k =
-  locked t (fun () ->
-      if t.closed || Queue.length t.queue < t.capacity then false
-      else begin
-        Queue.push k t.space_waiters;
-        true
-      end)
-
-let on_item_lk t k =
-  locked t (fun () ->
-      if t.closed || not (Queue.is_empty t.queue) then false
-      else begin
-        Queue.push k t.item_waiters;
-        true
-      end)
-
-let length_lk t = locked t (fun () -> Queue.length t.queue)
-
-let close_lk t =
-  locked_wake t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        Queue.clear t.queue;
-        Condition.broadcast t.not_full;
-        Condition.broadcast t.not_empty;
-        ((), drain t.space_waiters @ drain t.item_waiters)
-      end
-      else ((), []))
-
-let is_closed_lk t = locked t (fun () -> t.closed)
-
-(* --- facade ------------------------------------------------------- *)
-
-type 'a t = Locking of 'a locking | Spsc of 'a Spsc_ring.t
-
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Mailbox.create: capacity must be >= 1";
-  Locking (create_lk ~capacity)
-
-let create_spsc ~capacity =
-  if capacity < 1 then invalid_arg "Mailbox.create: capacity must be >= 1";
-  Spsc (Spsc_ring.create ~capacity)
-
-let is_spsc = function Locking _ -> false | Spsc _ -> true
-
-let capacity = function
-  | Locking t -> t.capacity
-  | Spsc r -> Spsc_ring.capacity r
-
-let put m x =
-  match m with Locking t -> put_lk t x | Spsc r -> Spsc_ring.put r x
-
-let take = function Locking t -> take_lk t | Spsc r -> Spsc_ring.take r
-
-let try_put m x =
-  match m with Locking t -> try_put_lk t x | Spsc r -> Spsc_ring.try_put r x
-
-let try_take = function
-  | Locking t -> try_take_lk t
-  | Spsc r -> Spsc_ring.try_take r
-
-let try_put_chunk m xs =
+let try_put_chunk t xs =
   match xs with
   | [] -> []
-  | _ -> (
-      match m with
-      | Locking t -> try_put_chunk_lk t xs
-      | Spsc r -> Spsc_ring.try_put_chunk r xs)
+  | _ ->
+      check_open t;
+      let want = length_upto 0 t.capacity xs in
+      let rec claim () =
+        let pos = Atomic.get t.tail in
+        let n = Int.min want (free t pos want) in
+        if n <= 0 then xs
+        else if t.mpsc && not (Atomic.compare_and_set t.tail pos (pos + n))
+        then claim ()
+        else begin
+          let rec fill i = function
+            | x :: rest when i < n ->
+                store t (pos + i) x;
+                fill (i + 1) rest
+            | rest -> rest
+          in
+          let rest = fill 0 xs in
+          published_upto t pos n;
+          rest
+        end
+      in
+      claim ()
 
-let put_batch m xs =
-  match xs with
-  | [] -> ()
-  | _ -> (
-      match m with
-      | Locking t -> put_batch_lk t xs
-      | Spsc r -> Spsc_ring.put_batch r xs)
+(* --- consumer side ------------------------------------------------- *)
 
-let take_batch m ~max ~into =
+(* Whether position [pos] (at or past [head]) has been published. *)
+let[@inline] published t pos =
+  if t.mpsc then
+    Atomic.get (Array.unsafe_get t.seq (pos land t.mask)) = pos + 1
+  else
+    pos < t.cached_tail
+    || begin
+         t.cached_tail <- Atomic.get t.tail;
+         pos < t.cached_tail
+       end
+
+let[@inline] take_slot t pos =
+  let i = pos land t.mask in
+  let x = Array.unsafe_get t.buf i in
+  Array.unsafe_set t.buf i nil;
+  x
+
+let try_take t =
+  check_open t;
+  let head = Atomic.get t.head in
+  if not (published t head) then None
+  else begin
+    let x = take_slot t head in
+    Atomic.set t.head (head + 1);
+    notify_space t;
+    Some (Obj.obj x)
+  end
+
+(* MPSC: how many of the [want] positions from [head] are published. *)
+let rec stamped t head want n =
+  if n < want && published t (head + n) then stamped t head want (n + 1)
+  else n
+
+(* Returns the claimed occupancy when the whole [min max avail] prefix was
+   published; otherwise the published count it stopped at. Either way
+   [min max result] items were appended. *)
+let take_batch t ~max ~into =
   if max < 1 then invalid_arg "Mailbox.take_batch: max must be >= 1";
-  match m with
-  | Locking t -> take_batch_lk t ~max ~into
-  | Spsc r -> Spsc_ring.take_batch r ~max ~into
+  check_open t;
+  let head = Atomic.get t.head in
+  let tail = Atomic.get t.tail in
+  let avail = tail - head in
+  let want = Int.min max avail in
+  let n =
+    if t.mpsc then stamped t head want 0
+    else begin
+      t.cached_tail <- tail;
+      want
+    end
+  in
+  for pos = head to head + n - 1 do
+    Queue.push (Obj.obj (take_slot t pos)) into
+  done;
+  if n > 0 then begin
+    Atomic.set t.head (head + n);
+    notify_space t
+  end;
+  if n = want then avail else n
 
-let on_space m k =
-  match m with
-  | Locking t -> on_space_lk t k
-  | Spsc r -> Spsc_ring.on_space r k
+(* --- waiters ------------------------------------------------------- *)
 
-let on_item m k =
-  match m with
-  | Locking t -> on_item_lk t k
-  | Spsc r -> Spsc_ring.on_item r k
+(* The consumer fills the slot {e before} re-checking for a published
+   item; a producer publishes {e before} reading the slot. With
+   sequentially consistent atomics, if the re-check missed the publish,
+   the producer's read comes after our write and sees the callback. When
+   the re-check finds an item (or [close]), we withdraw with a CAS; if a
+   producer or [close] emptied the slot first, the callback is already
+   being fired, so we must report [true] (parked) — [Sched.suspend] would
+   otherwise resume the task twice. *)
+let on_item t k =
+  (not (Atomic.get t.closed))
+  &&
+  let w = Some k in
+  if not (Atomic.compare_and_set t.item_waiter None w) then
+    invalid_arg "Mailbox.on_item: an item waiter is already registered";
+  if Atomic.get t.closed || published t (Atomic.get t.head) then
+    not (Atomic.compare_and_set t.item_waiter w None)
+  else true
 
-let length = function
-  | Locking t -> length_lk t
-  | Spsc r -> Spsc_ring.length r
+(* Registration raises [space_waiting] before re-checking fullness, under
+   [wlock]; the consumer publishes [head] before reading the flag. As in
+   [on_item], one of the two sees the other, and a consumer that sees the
+   flag takes [wlock], serializing with this registration. *)
+let on_space t k =
+  (not (Atomic.get t.closed))
+  && begin
+       Mutex.lock t.wlock;
+       Atomic.set t.space_waiting true;
+       let tail = Atomic.get t.tail in
+       let park =
+         (not (Atomic.get t.closed)) && tail - Atomic.get t.head >= t.capacity
+       in
+       if park then Queue.push k t.space_waiters
+       else if Queue.is_empty t.space_waiters then
+         Atomic.set t.space_waiting false;
+       Mutex.unlock t.wlock;
+       park
+     end
 
-let close = function Locking t -> close_lk t | Spsc r -> Spsc_ring.close r
+(* Blocking slow path, built on the parking hooks: register a callback that
+   flips a flag under [wlock] and broadcasts; [close] fires registered
+   callbacks, so a blocked side wakes and re-observes [Closed]. Both sides
+   share [wcond]; a broadcast may wake the other side too, which just
+   re-checks its own flag and sleeps again. *)
+let block_on t register =
+  let signaled = ref false in
+  let k () =
+    Mutex.lock t.wlock;
+    signaled := true;
+    Condition.broadcast t.wcond;
+    Mutex.unlock t.wlock
+  in
+  if register k then begin
+    Mutex.lock t.wlock;
+    while not !signaled do
+      Condition.wait t.wcond t.wlock
+    done;
+    Mutex.unlock t.wlock
+  end
 
-let is_closed = function
-  | Locking t -> is_closed_lk t
-  | Spsc r -> Spsc_ring.is_closed r
+let rec put t x =
+  if not (try_put t x) then begin
+    block_on t (on_space t);
+    put t x
+  end
+
+let rec take t =
+  match try_take t with
+  | Some x -> x
+  | None ->
+      block_on t (on_item t);
+      take t
+
+let rec put_batch t xs =
+  match try_put_chunk t xs with
+  | [] -> ()
+  | rest ->
+      block_on t (on_space t);
+      put_batch t rest
+
+(* Pending items are never delivered: every operation checks [closed]
+   first. The slots are not scrubbed, because a concurrent scrub could
+   race the consumer's read; a ring pins at most [capacity] items until it
+   is collected. *)
+let close t =
+  Mutex.lock t.wlock;
+  Atomic.set t.closed true;
+  let ws = take_space_waiters t in
+  Condition.broadcast t.wcond;
+  Mutex.unlock t.wlock;
+  wake_item t;
+  List.iter (fun k -> k ()) ws

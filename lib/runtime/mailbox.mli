@@ -3,48 +3,49 @@
 
     [put] blocks while the mailbox is full — this is the
     Blocking-After-Service backpressure the cost model assumes. [take]
-    blocks while it is empty. Both are thread-safe; waiters are woken in an
-    unspecified but starvation-free order.
+    blocks while it is empty.
 
-    Two implementations live behind this interface and behave
-    identically at the API level:
-    - {!create} builds the general locking mailbox (a queue under a mutex
-      and two condition variables) — safe for any number of producers and
-      consumers, so it backs fan-in edges: shuffle/key-partition
-      collectors and fission merge points;
-    - {!create_spsc} builds a bounded lock-free single-producer/
-      single-consumer ring ({!Spsc_ring}) whose fast path takes no lock at
-      all — the executor selects it statically for topology edges with
-      exactly one producing and one consuming actor.
+    Two lock-free rings live behind this interface and behave identically
+    at the API level:
+    - {!create} builds a bounded multi-producer ring (Vyukov-style, with a
+      per-slot publication stamp): producers claim slots with one CAS, so
+      it backs fan-in edges — multi-predecessor entries, shuffle and
+      key-partition collectors, fission merge points;
+    - {!create_spsc} builds a single-producer ring whose producer needs no
+      CAS at all — the executor selects it for edges with exactly one
+      producing actor.
+
+    Contract: every mailbox has {e exactly one consumer} — one domain or
+    pooled task calls [take], [try_take], [take_batch] and {!on_item}, and
+    at most one item waiter is outstanding at a time. The executor
+    guarantees this by construction: each mailbox is drained by the one
+    actor it feeds. Violating it loses items. [create_spsc] additionally
+    requires at most one concurrent producer. [close], [length],
+    [capacity] and [is_closed] are safe from any domain.
 
     A mailbox can be {!close}d (poisoned) for fault containment: every
     blocked producer and consumer wakes immediately with {!Closed} instead
     of waiting forever, pending items are discarded, and all subsequent
-    operations (except {!length}, {!capacity}, {!is_spsc} and
-    {!is_closed}) raise {!Closed}. The supervisor uses this to unblock the
-    whole actor network when one actor fails. All operations release any
-    internal mutex on every path, exceptional ones included. *)
+    operations (except {!length}, {!capacity} and {!is_closed}) raise
+    {!Closed}. The supervisor uses this to unblock the whole actor network
+    when one actor fails. *)
 
 type 'a t
 
 exception Closed
 (** Raised by [put]/[take]/[try_put]/[try_take] once the mailbox is closed,
-    including by callers that were already blocked when [close] ran.
-    (Physically the same exception as [Spsc_ring.Closed].) *)
+    including by callers that were already blocked when [close] ran. *)
 
 val create : capacity:int -> 'a t
-(** The locking multi-producer implementation.
+(** The multi-producer ring. The slot array is rounded up to a power of
+    two; backpressure honors [capacity] exactly.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val create_spsc : capacity:int -> 'a t
-(** The lock-free ring. Contract: at most one concurrent producer and one
-    concurrent consumer (not checked — the executor guarantees it by
-    construction from the topology). [close], [length] and [is_closed]
-    remain safe from any domain.
+(** The single-producer ring: as {!create}, plus the contract that at most
+    one producer calls [put], [try_put], [try_put_chunk] and [put_batch]
+    at a time (not checked).
     @raise Invalid_argument if [capacity < 1]. *)
-
-val is_spsc : 'a t -> bool
-(** True for mailboxes built by {!create_spsc}. *)
 
 val capacity : 'a t -> int
 
@@ -60,14 +61,15 @@ val try_put : 'a t -> 'a -> bool
 (** Non-blocking enqueue; false when full. @raise Closed when closed. *)
 
 val try_take : 'a t -> 'a option
-(** Non-blocking dequeue; [None] when empty. @raise Closed when closed. *)
+(** Non-blocking dequeue; [None] when empty (or when the next item is
+    claimed but not yet published). @raise Closed when closed. *)
 
 val try_put_chunk : 'a t -> 'a list -> 'a list
-(** Non-blocking multi-item enqueue in one mailbox transaction (one lock
-    round-trip on the locking path, one index publication on the ring):
-    enqueues a prefix bounded by free capacity and returns the suffix that
-    did not fit — physically a tail of the input, so the call allocates
-    nothing. [[]] means everything was enqueued; an empty input is a no-op
+(** Non-blocking multi-item enqueue in one mailbox transaction (one CAS
+    claims every slot on the multi-producer ring; one tail publication on
+    the single-producer ring): enqueues a prefix bounded by free capacity
+    and returns the suffix that did not fit — physically a tail of the
+    input, so the call allocates nothing. [[]] means everything was enqueued; an empty input is a no-op
     that never raises. @raise Closed when closed and the input is
     non-empty. *)
 
@@ -85,7 +87,9 @@ val take_batch : 'a t -> max:int -> into:'a Queue.t -> int
     cf. stream fusion: the N:M scheduler drains a batch per activation to
     amortize dispatch cost). Returns the occupancy observed {e before}
     draining, so [min max result] items were appended and the result
-    doubles as the occupancy sample behind adaptive drain sizing.
+    doubles as the occupancy sample behind adaptive drain sizing. (When a
+    producer has claimed a slot of the prefix but not yet published it,
+    the drain stops there and returns the count it appended.)
     @raise Closed when closed.
     @raise Invalid_argument if [max < 1]. *)
 
@@ -94,14 +98,18 @@ val on_space : 'a t -> (unit -> unit) -> bool
     full (and open), registers [k] as a one-shot wakeup callback and
     returns [true]; otherwise returns [false] without registering — the
     caller should retry its [try_put] immediately. [k] is invoked (outside
-    the mailbox lock, at most once) when a slot may have freed or the
+    every lock, at most once) when a slot may have freed or the
     mailbox closes; a wakeup is a hint — the caller must retry, and may
     re-register. This is the parking hook for {!Ss_sched.Sched.suspend}. *)
 
 val on_item : 'a t -> (unit -> unit) -> bool
-(** [on_item t k] — dual of {!on_space}: registers [k] only while the
-    mailbox is empty and open; [k] fires when an item may have arrived or
-    the mailbox closes. *)
+(** [on_item t k] — dual of {!on_space}: registers [k] only while no item
+    is ready and the mailbox is open; [k] fires when an item may have
+    arrived or the mailbox closes. Consumer-only: the single waiter lives
+    in one atomic slot, taken by the publishing producer, so there is no
+    lock on either side.
+    @raise Invalid_argument if an earlier item waiter is still
+    outstanding (a second consumer). *)
 
 val length : 'a t -> int
 (** Instantaneous occupancy (racy by nature; for monitoring only). Never

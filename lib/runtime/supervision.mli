@@ -10,7 +10,14 @@
     Production stream engines treat operator failure as a first-class
     runtime event rather than a hang; this module is the repository's
     minimal version of that contract: fail fast, release every resource,
-    and report per-actor status. *)
+    and report per-actor status.
+
+    Concurrent failures are several reports and one outcome. Closing the
+    mailboxes stops actors only at their next mailbox operation, so
+    actors already running a raising behavior — typically the replicas of
+    one fission unit, which all see the same inputs — may each raise
+    before the poison reaches them. Every actor whose body raised is
+    reported [Failed]; {!outcome} carries the first failure recorded. *)
 
 type status =
   | Completed  (** The body returned normally. *)
@@ -24,7 +31,9 @@ type report = { actor : string; vertex : int option; status : status }
 
 type outcome =
   | Finished  (** Every actor completed. *)
-  | Actor_failed of report  (** The first failure observed. *)
+  | Actor_failed of report
+      (** The first failure recorded; later concurrent failures appear
+          only in {!reports}. *)
   | Timed_out of float  (** The watchdog tripped after this many seconds. *)
 
 type t

@@ -96,7 +96,6 @@ val execute :
   ?scheduler:Ss_runtime.Executor.scheduler ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
-  ?channels:Ss_runtime.Executor.channels ->
   ?instrument:Ss_runtime.Executor.instrument ->
   ?event_time:Ss_event.Event_time.config ->
   ?disorder:Ss_workload.Stream_gen.disorder ->
@@ -112,9 +111,7 @@ val execute :
     [placement] pins each vertex's actors to a pool locality group from an
     {!Ss_placement} node assignment (see {!Ss_runtime.Executor.run});
     [batch] sets the drain policy of pooled-actor activations (default
-    [`Adaptive 32]: per-mailbox occupancy-driven drain sizes); [channels]
-    (default [`Auto]) backs single-producer/single-consumer edges with the
-    lock-free SPSC ring and fan-in edges with the locking mailbox.
+    [`Adaptive 32]: per-mailbox occupancy-driven drain sizes).
     [instrument] configures runtime instrumentation in one place —
     occupancy sampling and telemetry (latency/service histograms and
     per-edge counters in [metrics.telemetry]). [event_time] turns on

@@ -23,7 +23,7 @@ REQUIRED = {
     "BENCH_sched.json": ["section", "cores", "ratio", "idle", "serial"],
     "BENCH_telemetry.json": ["section", "rate_off", "rate_on",
                              "overhead_pct", "latency_ms"],
-    "BENCH_mailbox.json": ["section", "handoff", "pipeline", "testbed"],
+    "BENCH_mailbox.json": ["section", "pipeline", "sweep", "testbed", "fig11"],
     "BENCH_log.json": ["section", "ingest_mb_s", "batched_vs_per_record",
                        "replay", "recovery"],
     "BENCH_event.json": ["section", "rate_processing", "rate_event", "ratio",

@@ -13,14 +13,22 @@ let op ?kind ?output_selectivity name ms =
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
 
-(* Every mailbox test runs against both implementations behind the facade:
-   the locking MPSC queue and the lock-free SPSC ring.  The tests below use
-   at most one producer domain and one consumer domain, so they are legal
-   SPSC schedules too. *)
+(* Every mailbox test runs against both rings behind the facade: the MPSC
+   ring of [Mailbox.create] and the SPSC ring of [Mailbox.create_spsc].
+   The tests below use at most one producer domain and one consumer
+   domain, so they are legal SPSC schedules too. The [Mailbox.create] kind
+   keeps the label "locking" it had when a mutex backed that constructor,
+   so the per-kind test ids stay stable across the change. *)
 let mailbox_kinds :
     (string * (capacity:int -> int Mailbox.t)) list =
   [
     ("locking", fun ~capacity -> Mailbox.create ~capacity);
+    ("spsc", fun ~capacity -> Mailbox.create_spsc ~capacity);
+  ]
+
+let ring_kinds =
+  [
+    ("mpsc", fun ~capacity -> Mailbox.create ~capacity);
     ("spsc", fun ~capacity -> Mailbox.create_spsc ~capacity);
   ]
 
@@ -158,10 +166,21 @@ let test_mailbox_put_batch create () =
   Alcotest.check_raises "non-empty batch raises after close" Mailbox.Closed
     (fun () -> Mailbox.put_batch mb [ 1 ])
 
-(* Differential property test: drive the locking queue and the SPSC ring
-   through the same randomized single-threaded schedule of non-blocking
-   operations and demand identical observable behavior — returned values,
-   lengths, waiter firings and Closed raises. *)
+(* Model-based property test: drive each ring through a randomized
+   single-threaded schedule of non-blocking operations and compare every
+   observable — returned values, lengths, waiter firings, Closed raises —
+   with a pure sequential model: a queue plus capacity, a closed flag and
+   the waiter lists. The model encodes the one-consumer contract: at most
+   one item waiter is outstanding, and registering a second one is
+   refused. *)
+type model = {
+  items : int list; (* queue order *)
+  closed : bool;
+  item_waiter : bool; (* an item waiter is outstanding *)
+  space_waiters : int; (* outstanding space waiters *)
+  fired : int; (* callbacks fired so far *)
+}
+
 let mailbox_op_gen =
   QCheck.Gen.(
     frequency
@@ -176,6 +195,55 @@ let mailbox_op_gen =
         (1, return `Close);
       ])
 
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let taken, left = split_at (n - 1) rest in
+      (x :: taken, left)
+  | xs -> ([], xs)
+
+(* A put that enqueued something fires the item waiter; a take that freed
+   a slot fires every space waiter; close fires all. *)
+let fire_item m =
+  if m.item_waiter then { m with item_waiter = false; fired = m.fired + 1 }
+  else m
+
+let fire_space m = { m with space_waiters = 0; fired = m.fired + m.space_waiters }
+
+let model_step ~capacity m op =
+  let len = List.length m.items in
+  match op with
+  | (`Try_put _ | `Try_take | `Take_batch _) when m.closed -> (m, `Closed)
+  | `Put_chunk [] -> (m, `List [])
+  | `Put_chunk _ when m.closed -> (m, `Closed)
+  | `Try_put x ->
+      if len < capacity then (fire_item { m with items = m.items @ [ x ] }, `Bool true)
+      else (m, `Bool false)
+  | `Try_take -> (
+      match m.items with
+      | [] -> (m, `Opt None)
+      | x :: rest -> (fire_space { m with items = rest }, `Opt (Some x)))
+  | `Take_batch max ->
+      let taken, rest = split_at max m.items in
+      let m' = { m with items = rest } in
+      ((if taken = [] then m' else fire_space m'), `Batch (len, taken))
+  | `Put_chunk xs ->
+      let put, rest = split_at (capacity - len) xs in
+      let m' = { m with items = m.items @ put } in
+      ((if put = [] then m' else fire_item m'), `List rest)
+  | `On_item ->
+      if m.closed || m.items <> [] then (m, `Park false)
+      else if m.item_waiter then (m, `Refused)
+      else ({ m with item_waiter = true }, `Park true)
+  | `On_space ->
+      if m.closed || len < capacity then (m, `Park false)
+      else ({ m with space_waiters = m.space_waiters + 1 }, `Park true)
+  | `Length -> (m, `Int (if m.closed then 0 else len))
+  | `Close ->
+      if m.closed then (m, `Unit)
+      else
+        ( fire_space (fire_item { m with closed = true; items = [] }),
+          `Unit )
+
 let apply_op mb fired op =
   let catching f = try f () with Mailbox.Closed -> `Closed in
   match op with
@@ -186,34 +254,55 @@ let apply_op mb fired op =
           let occ, xs = drain_list mb ~max in
           `Batch (occ, xs))
   | `Put_chunk xs -> catching (fun () -> `List (Mailbox.try_put_chunk mb xs))
-  | `On_item ->
-      `Park (Mailbox.on_item mb (fun () -> incr fired), !fired)
-  | `On_space ->
-      `Park (Mailbox.on_space mb (fun () -> incr fired), !fired)
+  | `On_item -> (
+      try `Park (Mailbox.on_item mb (fun () -> incr fired))
+      with Invalid_argument _ -> `Refused)
+  | `On_space -> `Park (Mailbox.on_space mb (fun () -> incr fired))
   | `Length -> `Int (Mailbox.length mb)
   | `Close ->
       Mailbox.close mb;
       `Unit
 
-let test_mailbox_differential =
+let print_schedule (capacity, ops) =
+  let ints xs = String.concat ";" (List.map string_of_int xs) in
+  Printf.sprintf "capacity %d: %s" capacity
+    (String.concat ", "
+       (List.map
+          (function
+            | `Try_put x -> Printf.sprintf "try_put %d" x
+            | `Try_take -> "try_take"
+            | `Take_batch n -> Printf.sprintf "take_batch %d" n
+            | `Put_chunk xs -> Printf.sprintf "put_chunk [%s]" (ints xs)
+            | `On_item -> "on_item"
+            | `On_space -> "on_space"
+            | `Length -> "length"
+            | `Close -> "close")
+          ops))
+
+let test_mailbox_model (kind, create) =
   QCheck.Test.make ~count:500
-    ~name:"locking and spsc mailboxes are observationally equivalent"
-    (QCheck.make
+    ~name:(Printf.sprintf "%s ring agrees with the sequential model" kind)
+    (QCheck.make ~print:print_schedule
        QCheck.Gen.(
          pair (int_range 1 8) (list_size (int_bound 60) mailbox_op_gen)))
     (fun (capacity, ops) ->
-      let locking = Mailbox.create ~capacity in
-      let spsc = Mailbox.create_spsc ~capacity in
-      let fired_l = ref 0 and fired_s = ref 0 in
-      List.for_all
-        (fun op ->
-          let rl = apply_op locking fired_l op in
-          let rs = apply_op spsc fired_s op in
-          rl = rs
-          && !fired_l = !fired_s
-          && Mailbox.length locking = Mailbox.length spsc
-          && Mailbox.is_closed locking = Mailbox.is_closed spsc)
-        ops)
+      let mb = create ~capacity in
+      let fired = ref 0 in
+      let init =
+        { items = []; closed = false; item_waiter = false; space_waiters = 0; fired = 0 }
+      in
+      let rec go m = function
+        | [] -> true
+        | op :: ops ->
+            let m', expected = model_step ~capacity m op in
+            let got = apply_op mb fired op in
+            got = expected
+            && !fired = m'.fired
+            && Mailbox.length mb = (if m'.closed then 0 else List.length m'.items)
+            && Mailbox.is_closed mb = m'.closed
+            && go m' ops
+      in
+      go init ops)
 
 (* ------------------------------------------------------------------ *)
 (* Executor: basic pipelines *)
@@ -619,25 +708,50 @@ let bomb ~at =
   Behavior.make ~name:"bomb" (fun () t ->
       if Tuple.value t 0 >= at then failwith "boom" else [ t ])
 
-let check_failed_outcome ~vertex (m : Executor.metrics) =
+(* Every actor whose behavior raised is reported [Failed], and the outcome
+   carries the first one recorded (see [Supervision]). Where one actor runs
+   the bomb, exactly one fails. Under fission ([~replicas_of] names the
+   replicated operator) every replica receives tuples past the threshold,
+   so several may raise before the poison reaches them; each of them must
+   be one of that operator's workers. *)
+let check_failed_outcome ?replicas_of ~vertex (m : Executor.metrics) =
+  let failed =
+    List.filter_map
+      (fun r ->
+        match r.Supervision.status with
+        | Supervision.Failed _ -> Some r.Supervision.actor
+        | Supervision.Cancelled | Supervision.Completed -> None)
+      m.Executor.actors
+  in
   (match m.Executor.outcome with
-  | Supervision.Actor_failed { vertex = v; status = Failed { exn; _ }; _ } ->
+  | Supervision.Actor_failed { actor; vertex = v; status = Failed { exn; _ } }
+    ->
       Alcotest.(check (option int)) "failing vertex recorded" (Some vertex) v;
       Alcotest.(check bool)
         (Printf.sprintf "exception captured (%s)" exn)
         true
-        (String.length exn > 0)
+        (String.length exn > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "outcome actor %s is reported failed" actor)
+        true (List.mem actor failed)
   | _ -> Alcotest.fail "expected Actor_failed outcome");
-  let failed, cancelled =
-    List.fold_left
-      (fun (f, c) r ->
-        match r.Supervision.status with
-        | Supervision.Failed _ -> (f + 1, c)
-        | Supervision.Cancelled -> (f, c + 1)
-        | Supervision.Completed -> (f, c))
-      (0, 0) m.Executor.actors
+  (match replicas_of with
+  | None -> Alcotest.(check int) "exactly one failed actor" 1 (List.length failed)
+  | Some op ->
+      Alcotest.(check bool) "some replica failed" true (failed <> []);
+      List.iter
+        (fun a ->
+          Alcotest.(check bool)
+            (Printf.sprintf "failed actor %s is a worker of %s" a op)
+            true
+            (String.starts_with ~prefix:(op ^ ".worker") a))
+        failed);
+  let cancelled =
+    List.length
+      (List.filter
+         (fun r -> r.Supervision.status = Supervision.Cancelled)
+         m.Executor.actors)
   in
-  Alcotest.(check int) "exactly one failed actor" 1 failed;
   Alcotest.(check bool) "peers were cancelled, not stuck" true (cancelled >= 1)
 
 let test_failure_single_actor () =
@@ -669,7 +783,7 @@ let test_failure_replicated () =
           ~registry:(registry_of [ (1, bomb ~at:100.0); (2, Stateless_ops.identity) ])
           t)
   in
-  check_failed_outcome ~vertex:1 m
+  check_failed_outcome ~replicas_of:"w" ~vertex:1 m
 
 let test_failure_fused () =
   let t =
@@ -943,6 +1057,136 @@ let test_sched_parked_wakeup_on_close create () =
       Alcotest.(check bool) "parked task woke with Closed" true
         (Atomic.get result = `Woke_closed))
 
+(* Multi-producer stress on the MPSC ring: three producer domains and one
+   consumer domain through a capacity-4 ring, mixing spinning and
+   blocking single puts with chunked puts. Every item must arrive exactly once, in per-producer FIFO
+   order, with the occupancy never above the capacity; then [close] must
+   wake parked producers and a parked consumer with [Closed]. *)
+let test_mpsc_stress () =
+  with_watchdog (fun () ->
+      let capacity = 4 and producers = 3 and per_producer = 4000 in
+      let mb : (int * int) Mailbox.t = Mailbox.create ~capacity in
+      let over = Atomic.make 0 in
+      let watch () =
+        if Mailbox.length mb > capacity then Atomic.incr over
+      in
+      let producer p =
+        Domain.spawn (fun () ->
+            let i = ref 0 in
+            while !i < per_producer do
+              (match !i mod 4 with
+              | 0 ->
+                  (* Spinning producers race on the claim CAS; the spin
+                     is bounded so a full ring falls back to parking
+                     instead of burning a core. *)
+                  let rec spin k =
+                    if not (Mailbox.try_put mb (p, !i)) then
+                      if k = 0 then Mailbox.put mb (p, !i)
+                      else begin
+                        Domain.cpu_relax ();
+                        spin (k - 1)
+                      end
+                  in
+                  spin 1000;
+                  incr i
+              | 1 ->
+                  Mailbox.put mb (p, !i);
+                  incr i
+              | _ ->
+                  let n = Stdlib.min 2 (per_producer - !i) in
+                  Mailbox.put_batch mb (List.init n (fun j -> (p, !i + j)));
+                  i := !i + n);
+              watch ()
+            done)
+      in
+      let consumer =
+        Domain.spawn (fun () ->
+            let next = Array.make producers 0 and dup_or_gap = ref 0 in
+            let q = Queue.create () in
+            let got = ref 0 in
+            let accept (p, i) =
+              if i <> next.(p) then incr dup_or_gap;
+              next.(p) <- i + 1;
+              incr got
+            in
+            while !got < producers * per_producer do
+              watch ();
+              if Mailbox.take_batch mb ~max:3 ~into:q = 0 then
+                accept (Mailbox.take mb)
+              else Queue.iter accept q;
+              Queue.clear q
+            done;
+            (* Drained: park on the empty ring until [close]. *)
+            let woke = try ignore (Mailbox.take mb); false with Mailbox.Closed -> true in
+            (next, !dup_or_gap, woke))
+      in
+      let ds = List.init producers producer in
+      List.iter Domain.join ds;
+      Unix.sleepf 0.05;
+      Mailbox.close mb;
+      let next, dup_or_gap, woke = Domain.join consumer in
+      Alcotest.(check (array int)) "every item arrived"
+        (Array.make producers per_producer) next;
+      Alcotest.(check int) "exactly once, in per-producer order" 0 dup_or_gap;
+      Alcotest.(check int) "occupancy never above capacity" 0 (Atomic.get over);
+      Alcotest.(check bool) "parked consumer woke with Closed" true woke;
+      (* Parked producers: fill the ring, park three producers on it. *)
+      let mb : int Mailbox.t = Mailbox.create ~capacity in
+      for i = 1 to capacity do
+        Mailbox.put mb i
+      done;
+      let parked =
+        List.init producers (fun p ->
+            Domain.spawn (fun () ->
+                try
+                  if p = 0 then Mailbox.put mb 0 else Mailbox.put_batch mb [ p; p ];
+                  false
+                with Mailbox.Closed -> true))
+      in
+      Unix.sleepf 0.05;
+      Mailbox.close mb;
+      Alcotest.(check (list bool)) "parked producers woke with Closed"
+        [ true; true; true ] (List.map Domain.join parked))
+
+(* The same fan-in under the N:M pool: three producer tasks and one
+   consumer task park through [on_space]/[on_item] and [Sched.suspend],
+   the executor's own path; every item arrives once, in order. *)
+let test_mpsc_pool_stress () =
+  with_watchdog (fun () ->
+      let producers = 3 and per_producer = 3000 in
+      let mb : (int * int) Mailbox.t = Mailbox.create ~capacity:4 in
+      let pool = Ss_sched.Sched.create ~workers:2 () in
+      for p = 0 to producers - 1 do
+        Ss_sched.Sched.spawn pool (fun () ->
+            for i = 0 to per_producer - 1 do
+              while not (Mailbox.try_put mb (p, i)) do
+                Ss_sched.Sched.suspend ~register:(Mailbox.on_space mb)
+              done
+            done)
+      done;
+      let next = Array.make producers 0 and dup_or_gap = ref 0 in
+      Ss_sched.Sched.spawn pool (fun () ->
+          let q = Queue.create () in
+          let got = ref 0 in
+          while !got < producers * per_producer do
+            ignore (Mailbox.take_batch mb ~max:4 ~into:q);
+            if Queue.is_empty q then
+              Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb)
+            else begin
+              Queue.iter
+                (fun (p, i) ->
+                  if i <> next.(p) then incr dup_or_gap;
+                  next.(p) <- i + 1;
+                  incr got)
+                q;
+              Queue.clear q
+            end
+          done);
+      Ss_sched.Sched.run pool;
+      Alcotest.(check (array int)) "every item arrived"
+        (Array.make producers per_producer) next;
+      Alcotest.(check int) "exactly once, in per-producer order" 0 !dup_or_gap)
+
 (* ------------------------------------------------------------------ *)
 (* Pool mode: supervision parity with the domain-per-actor mode *)
 
@@ -1069,10 +1313,9 @@ let test_pool_scales_past_domain_budget () =
 (* Scheduler equivalence: pool counts = domain-per-actor counts = the
    counts the DES replay predicts for the same seed *)
 
-let run_with scheduler ?placement ?channels ?fused ?ordered topo vs ~tuples
-    ~seed =
+let run_with scheduler ?placement ?fused ?ordered topo vs ~tuples ~seed =
   with_watchdog (fun () ->
-      Executor.run ~scheduler ?placement ?channels ?fused ?ordered ~seed
+      Executor.run ~scheduler ?placement ?fused ?ordered ~seed
         ~source:
           (Executor.source_of_fn ~count:tuples (fun i ->
                tuple [| float_of_int i |]))
@@ -1235,60 +1478,9 @@ let test_placement_validation () =
   Alcotest.(check bool) "collapsed placement finished" true
     (m.Executor.outcome = Supervision.Finished)
 
-(* Channel equivalence: `Auto (SPSC rings on single-producer edges, the
-   default above) must be observationally equivalent to forcing the locking
-   mailbox everywhere, on both schedulers. *)
-let check_channel_equivalence ?fused ?ordered ~name build vs ~tuples ~seed =
-  List.iter
-    (fun (sched_name, scheduler) ->
-      let auto =
-        run_with scheduler ~channels:`Auto ?fused ?ordered (build ()) vs
-          ~tuples ~seed
-      in
-      let locking =
-        run_with scheduler ~channels:`Locking ?fused ?ordered (build ()) vs
-          ~tuples ~seed
-      in
-      let label s = Printf.sprintf "%s (%s): %s" name sched_name s in
-      Alcotest.(check bool) (label "auto finished") true
-        (auto.Executor.outcome = Supervision.Finished);
-      Alcotest.(check (array int))
-        (label "consumed, auto = locking")
-        locking.Executor.consumed auto.Executor.consumed;
-      Alcotest.(check (array int))
-        (label "produced, auto = locking")
-        locking.Executor.produced auto.Executor.produced)
-    [ ("pool", `Pool 2); ("domains", `Domain_per_actor) ]
-
-let test_channel_equivalence () =
-  check_channel_equivalence ~name:"plain"
-    (fun () ->
-      Topology.create_exn
-        [| op "src" 0.01; op "a" 0.01; op "b" 0.01; op "sink" 0.01 |]
-        [ (0, 1, 0.3); (0, 2, 0.7); (1, 3, 1.0); (2, 3, 1.0) ])
-    [ 1; 2; 3 ] ~tuples:1500 ~seed:7;
-  check_channel_equivalence ~ordered:[ 1 ] ~name:"ordered fission"
-    (fun () ->
-      Topology.create_exn
-        [|
-          op "src" 0.01;
-          Operator.make ~service_time:1e-5 ~replicas:3 "w";
-          op "s1" 0.01;
-          op "s2" 0.01;
-        |]
-        [ (0, 1, 1.0); (1, 2, 0.4); (1, 3, 0.6) ])
-    [ 1; 2; 3 ] ~tuples:600 ~seed:13;
-  check_channel_equivalence ~fused:[ [ 1; 2; 3 ] ] ~name:"fused"
-    (fun () ->
-      Topology.create_exn
-        [| op "src" 0.01; op "fe" 0.01; op "l" 0.01; op "r" 0.01; op "sink" 0.01 |]
-        [ (0, 1, 1.0); (1, 2, 0.5); (1, 3, 0.5); (2, 4, 1.0); (3, 4, 1.0) ])
-    [ 1; 2; 3; 4 ] ~tuples:600 ~seed:17
-
 let test_channel_failure_parity () =
-  (* Failure injection must poison ring-backed edges exactly like locking
-     ones: a failing operator yields the same structured outcome under every
-     channel choice and scheduler. *)
+  (* Failure injection must poison ring-backed edges: a failing operator
+     yields the same structured outcome under every scheduler. *)
   let t () =
     Topology.create_exn
       [| op "src" 0.01; op "bomb" 0.01; op "sink" 0.01 |]
@@ -1297,23 +1489,19 @@ let test_channel_failure_parity () =
   let inputs = List.init 5000 (fun i -> tuple [| float_of_int i |]) in
   List.iter
     (fun scheduler ->
-      List.iter
-        (fun channels ->
-          let m =
-            with_watchdog (fun () ->
-                Executor.run ~scheduler ~channels ~mailbox_capacity:4
-                  ~source:(Executor.source_of_list inputs)
-                  ~registry:
-                    (registry_of
-                       [ (1, bomb ~at:50.0); (2, Stateless_ops.identity) ])
-                  (t ()))
-          in
-          match m.Executor.outcome with
-          | Supervision.Actor_failed _ -> ()
-          | outcome ->
-              Alcotest.failf "expected Failed, got %a" Supervision.pp_outcome
-                outcome)
-        [ `Auto; `Locking ])
+      let m =
+        with_watchdog (fun () ->
+            Executor.run ~scheduler ~mailbox_capacity:4
+              ~source:(Executor.source_of_list inputs)
+              ~registry:
+                (registry_of [ (1, bomb ~at:50.0); (2, Stateless_ops.identity) ])
+              (t ()))
+      in
+      match m.Executor.outcome with
+      | Supervision.Actor_failed _ -> ()
+      | outcome ->
+          Alcotest.failf "expected Failed, got %a" Supervision.pp_outcome
+            outcome)
     [ `Pool 2; `Domain_per_actor ]
 
 let test_batch_policies () =
@@ -1673,7 +1861,10 @@ let () =
               test_mailbox_close_wakes_consumer;
             per_kind "closed mailbox semantics" test_mailbox_closed_operations;
             per_kind "put_batch and try_put_chunk" test_mailbox_put_batch;
-            [ QCheck_alcotest.to_alcotest test_mailbox_differential ];
+            List.map
+              (fun kind ->
+                QCheck_alcotest.to_alcotest (test_mailbox_model kind))
+              ring_kinds;
           ] );
       ( "supervision",
         [
@@ -1718,6 +1909,10 @@ let () =
               test_mailbox_waiter_registration;
             per_kind "parked task wakes on close"
               test_sched_parked_wakeup_on_close;
+            [
+              quick "mpsc stress: 3 producers, 1 consumer" test_mpsc_stress;
+              quick "mpsc stress under the pool" test_mpsc_pool_stress;
+            ];
           ] );
       ( "sched",
         [
@@ -1735,7 +1930,6 @@ let () =
           quick "fused group" test_equivalence_fused;
           quick "placement assignment" test_equivalence_placement_assignment;
           quick "placement validation" test_placement_validation;
-          quick "channels auto = locking" test_channel_equivalence;
           quick "channel failure parity" test_channel_failure_parity;
           quick "batch policies" test_batch_policies;
         ] );
