@@ -309,6 +309,21 @@ let fig11 service_times_ms =
       (4, 3, 0.35); (4, 5, 0.65); (3, 5, 1.0); (1, 5, 1.0);
     ]
 
+(* Actors the executor deploys for [t]: one per plain vertex, and an
+   emitter, the replicas and a collector per replicated one. *)
+let actor_count t =
+  let src = Topology.source t in
+  let count = ref 0 in
+  Array.iteri
+    (fun v (o : Operator.t) ->
+      count :=
+        !count
+        +
+        if v = src || o.Operator.replicas = 1 then 1
+        else o.Operator.replicas + 2)
+    (Topology.operators t);
+  !count
+
 let print_metrics_row label values =
   Printf.printf "%-14s" label;
   List.iter (fun v -> Printf.printf " %8s" v) values;
@@ -970,47 +985,35 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* sched: the Chase-Lev lock-free scheduler core against the retained
-   mutex-and-condvar baseline (`Locked_pool). Three views:
+(* sched: locality groups on the Chase-Lev lock-free pool. Two views:
 
-   - "idle" (the headline gate): a steal-light trickle on the raw
-     scheduler API -- a driver task sleeps between spawns so at most one
-     task is runnable and the pool is parked the rest of the time. Every
-     event then exercises exactly the idle protocol the rewrite targets:
-     the locked baseline broadcasts its condvar and herds every sleeping
-     worker through the global rescan mutex, the lock-free pool unparks
-     exactly one worker. Workers are floored at 8 so the herd is visible
-     even on small CI hosts, and the metric is events per CPU-second:
-     sleeping threads cost nothing, so CPU time isolates the wakeup work.
-     (Driving the same trickle through the full executor pipeline hides
-     the difference on a single-core host: the hop chain keeps the one
-     CPU busy, so the kernel coalesces the herd wakeups that a parked
-     multicore pool would actually pay. The raw-scheduler form measures
-     the protocol itself, host-independently.)
-   - "serial" (gated): a 1-worker yield storm on the raw scheduler -- the
-     per-activation cost of the Chase-Lev deque's fenced push/pop against
-     an uncontended mutex Queue, with no parking involved. Budget: the
-     lock-free core may not be more than 5% slower.
+   - "idle" (the gate): a steal-light trickle on the raw scheduler API --
+     a driver task sleeps between spawns so at most one task is runnable
+     and the pool is parked the rest of the time, so every event exercises
+     the idle protocol (unpark exactly one worker). The trickle runs on a
+     2-group pool with events spread across both groups against the
+     ungrouped pool; budget: the grouped pool may not be more than 5%
+     slower. Workers are floored at 8 so the park/unpark traffic is
+     visible even on small CI hosts, and the metric is events per
+     CPU-second: sleeping threads cost nothing, so CPU time isolates the
+     wakeup work.
    - "saturated" (reported): the full-speed 50-operator identity testbed
      swept over worker counts, drains pinned to one message per
      activation (`Fixed 1) so per-activation scheduler cost is not
-     amortized away by batching. Not gated: on an oversubscribed host
-     multi-worker points measure preemption luck, not the scheduler.
+     amortized away by batching, plus the same testbed grouped by the
+     2-node communication-aware placement. Not gated: on an
+     oversubscribed host multi-worker points measure preemption luck, not
+     the scheduler.
 
-   Locality groups: the gated comparison runs the idle trickle on a
-   2-group pool with events spread across both groups (budget: within 5%
-   of the ungrouped pool); the saturated testbed grouped by the 2-node
-   communication-aware placement is reported alongside.
-
-   All gated numbers come from paired rounds -- the two sides run back to
+   The gated number comes from paired rounds -- the two sides run back to
    back within each round, alternating order, and the score is the median
-   of per-pair ratios -- because on a shared host absolute CPU rates
-   drift by tens of percent between seconds and any unpaired comparison
-   flakes. Emits BENCH_sched.json; exits 1 when a gate fails. *)
+   of per-pair ratios -- because on a shared host absolute CPU rates drift
+   by tens of percent between seconds and any unpaired comparison flakes.
+   Emits BENCH_sched.json; exits 1 when the gate fails. *)
 
 let sched () =
   section_header
-    "sched -- Chase-Lev lock-free pool vs locked baseline (idle protocol + \
+    "sched -- locality groups on the Chase-Lev pool (idle protocol + \
      50-operator testbed)";
   let cores = Stdlib.max 1 (Domain.recommended_domain_count ()) in
   let topo =
@@ -1018,21 +1021,8 @@ let sched () =
       ~edges:55
   in
   let registry _ = Ss_operators.Stateless_ops.identity in
-  let actor_count t =
-    let src = Topology.source t in
-    let count = ref 0 in
-    Array.iteri
-      (fun v (o : Operator.t) ->
-        count :=
-          !count
-          +
-          if v = src || o.Operator.replicas = 1 then 1
-          else o.Operator.replicas + 2)
-      (Topology.operators t);
-    !count
-  in
-  let run ?placement ~tuples ~scheduler t () =
-    Ss_runtime.Executor.run ~scheduler ?placement ~batch:(`Fixed 1)
+  let run ?placement ~tuples ~workers t () =
+    Ss_runtime.Executor.run ~workers ?placement ~batch:(`Fixed 1)
       ~timeout:300.0
       ~instrument:
         {
@@ -1095,16 +1085,16 @@ let sched () =
   in
   Printf.printf "testbed: %d operators as %d actors\n" (Topology.size topo)
     (actor_count topo);
-  (* --- Gate 1: steal-light idle-protocol trickle --- *)
+  (* --- Gate: grouped idle trickle within budget of ungrouped --- *)
   let idle_workers = Stdlib.max 8 cores in
   let idle_events = if !quick then 4_000 else 6_000 in
   let idle_pause = 100e-6 in
-  let idle_run ~impl ~grouped () =
+  let idle_run ~grouped () =
     let pool =
       if grouped then
         Ss_sched.Sched.create ~workers:idle_workers
-          ~groups:[| (idle_workers + 1) / 2; idle_workers / 2 |] ~impl ()
-      else Ss_sched.Sched.create ~workers:idle_workers ~impl ()
+          ~groups:[| (idle_workers + 1) / 2; idle_workers / 2 |] ()
+      else Ss_sched.Sched.create ~workers:idle_workers ()
     in
     let ng = Array.length (Ss_sched.Sched.groups pool) in
     Ss_sched.Sched.spawn pool (fun () ->
@@ -1114,54 +1104,23 @@ let sched () =
         done);
     Ss_sched.Sched.run pool
   in
-  let idle_ratio, lf_idle, lk_idle =
+  let grouped_ratio, grouped_idle, ungrouped_idle =
     paired ~units:idle_events
-      (idle_run ~impl:`Lockfree ~grouped:false)
-      (idle_run ~impl:`Locked ~grouped:false)
+      (idle_run ~grouped:true)
+      (idle_run ~grouped:false)
   in
+  let grouped_regression_pct = 100.0 *. (1.0 -. grouped_ratio) in
   let per_event r = 1e6 /. r in
   Printf.printf
     "idle protocol (steal-light trickle, %d workers, %d events, %.0fus \
      pause):\n"
     idle_workers idle_events (idle_pause *. 1e6);
-  Printf.printf "  chase-lev pool:   %10.0f events/CPU-s (%5.1f us/event)\n"
-    lf_idle (per_event lf_idle);
-  Printf.printf "  locked pool:      %10.0f events/CPU-s (%5.1f us/event)\n"
-    lk_idle (per_event lk_idle);
-  Printf.printf "  speedup:          %10.2fx (gate: >= 1.3x)\n" idle_ratio;
-  (* --- Gate 2: grouped idle trickle within budget of ungrouped --- *)
-  let grouped_ratio, grouped_idle, _ =
-    paired ~units:idle_events
-      (idle_run ~impl:`Lockfree ~grouped:true)
-      (idle_run ~impl:`Lockfree ~grouped:false)
-  in
-  let grouped_regression_pct = 100.0 *. (1.0 -. grouped_ratio) in
-  Printf.printf "  2-group pool:     %10.0f events/CPU-s (regression %.1f%%)\n"
-    grouped_idle grouped_regression_pct;
-  (* --- Gate 3: serial per-activation overhead, 1-worker yield storm --- *)
-  let storm_tasks = 50 in
-  let storm_yields = if !quick then 4_000 else 8_000 in
-  let storm impl () =
-    let pool = Ss_sched.Sched.create ~workers:1 ~impl () in
-    for _ = 1 to storm_tasks do
-      Ss_sched.Sched.spawn pool (fun () ->
-          for _ = 1 to storm_yields do
-            Ss_sched.Sched.yield ()
-          done)
-    done;
-    Ss_sched.Sched.run pool
-  in
-  let storm_units = storm_tasks * storm_yields in
-  let serial_ratio, lf_storm, lk_storm =
-    paired ~units:storm_units (storm `Lockfree) (storm `Locked)
-  in
+  Printf.printf "  ungrouped pool:   %10.0f events/CPU-s (%5.1f us/event)\n"
+    ungrouped_idle (per_event ungrouped_idle);
   Printf.printf
-    "serial overhead (1 worker, %d tasks x %d yields):\n" storm_tasks
-    storm_yields;
-  Printf.printf "  chase-lev pool:   %10.0f yields/CPU-s\n" lf_storm;
-  Printf.printf "  locked pool:      %10.0f yields/CPU-s (ratio %.2fx, \
-gate: >= 0.95x)\n"
-    lk_storm serial_ratio;
+    "  2-group pool:     %10.0f events/CPU-s (regression %.1f%%, gate: <= \
+     5%%)\n"
+    grouped_idle grouped_regression_pct;
   (* --- Reported: saturated testbed sweep --- *)
   let sat_tuples = if !quick then 3_000 else 15_000 in
   let sweep_counts =
@@ -1171,19 +1130,12 @@ gate: >= 0.95x)\n"
   let sweep =
     List.map
       (fun w ->
-        let rate_of scheduler =
-          cpu_rate ~units:sat_tuples (run ~tuples:sat_tuples ~scheduler topo)
-        in
-        (w, rate_of (`Pool w), rate_of (`Locked_pool w)))
+        (w, cpu_rate ~units:sat_tuples (run ~tuples:sat_tuples ~workers:w topo)))
       sweep_counts
   in
-  Printf.printf
-    "saturated sweep (%d tuples, batch=1, lock-free vs locked, reported):\n"
-    sat_tuples;
+  Printf.printf "saturated sweep (%d tuples, batch=1, reported):\n" sat_tuples;
   List.iter
-    (fun (w, lf, lk) ->
-      Printf.printf "  %d workers:  %10.0f vs %10.0f tuples/CPU-s (%.2fx)\n" w
-        lf lk (lf /. lk))
+    (fun (w, r) -> Printf.printf "  %d workers:  %10.0f tuples/CPU-s\n" w r)
     sweep;
   (* Locality groups on the saturated testbed: partition with the 2-node
      communication-aware placement and pin each vertex's actors to the
@@ -1199,9 +1151,8 @@ gate: >= 0.95x)\n"
   in
   let sat_grouped_ratio, sat_grouped, sat_ungrouped =
     paired ~units:sat_tuples
-      (run ~tuples:sat_tuples ~placement:assignment
-         ~scheduler:(`Pool idle_workers) topo)
-      (run ~tuples:sat_tuples ~scheduler:(`Pool idle_workers) topo)
+      (run ~tuples:sat_tuples ~placement:assignment ~workers:idle_workers topo)
+      (run ~tuples:sat_tuples ~workers:idle_workers topo)
   in
   Printf.printf
     "locality groups on the saturated testbed (%d groups, %d workers, \
@@ -1210,63 +1161,37 @@ gate: >= 0.95x)\n"
   Printf.printf "  grouped:          %10.0f tuples/CPU-s\n" sat_grouped;
   Printf.printf "  ungrouped:        %10.0f tuples/CPU-s (ratio %.2fx)\n"
     sat_ungrouped sat_grouped_ratio;
-  (* Context: the pre-pool comparison (one domain per actor) and the
-     fissioned topology the pool exists for; single wall-clock runs. *)
-  let wall_rate (m : Ss_runtime.Executor.metrics) =
-    m.Ss_runtime.Executor.source_rate
-  in
-  let m_dom = run ~tuples:sat_tuples ~scheduler:`Domain_per_actor topo () in
-  Printf.printf "domain-per-actor (context): %10.0f tuples/s\n"
-    (wall_rate m_dom);
+  (* Context: the fissioned topology the pool exists for; one wall-clock
+     run. *)
   let fissioned = (Fission.optimize topo).Fission.topology in
   let fission_actors = actor_count fissioned in
-  let m_fpool = run ~tuples:sat_tuples ~scheduler:(`Pool cores) fissioned () in
+  let m_fpool = run ~tuples:sat_tuples ~workers:cores fissioned () in
+  let fission_rate = m_fpool.Ss_runtime.Executor.source_rate in
   Printf.printf
     "fissioned topology (%d actors) on the pool: %10.0f tuples/s (%s)\n"
-    fission_actors (wall_rate m_fpool)
+    fission_actors fission_rate
     (Format.asprintf "%a" Ss_runtime.Supervision.pp_outcome
        m_fpool.Ss_runtime.Executor.outcome);
   let json =
     Printf.sprintf
-      {|{"section":"sched","cores":%d,"ratio":%.3f,"idle":{"workers":%d,"events":%d,"pause_us":%.0f,"lockfree_rate":%.1f,"locked_rate":%.1f,"ratio":%.3f,"grouped_rate":%.1f,"grouped_ratio":%.3f,"grouped_regression_pct":%.2f},"serial":{"tasks":%d,"yields":%d,"lockfree_rate":%.1f,"locked_rate":%.1f,"ratio":%.3f},"saturated":{"tuples":%d,"sweep":[%s],"grouped":{"groups":%d,"workers":%d,"grouped_rate":%.1f,"ungrouped_rate":%.1f,"ratio":%.3f}},"domains_rate":%.1f,"fission":{"actors":%d,"pool_rate":%.1f}}|}
-      cores idle_ratio idle_workers idle_events
+      {|{"section":"sched","cores":%d,"grouped_regression_pct":%.2f,"idle":{"workers":%d,"events":%d,"pause_us":%.0f,"ungrouped_rate":%.1f,"grouped_rate":%.1f,"grouped_ratio":%.3f},"saturated":{"tuples":%d,"sweep":[%s],"grouped":{"groups":%d,"workers":%d,"grouped_rate":%.1f,"ungrouped_rate":%.1f,"ratio":%.3f}},"fission":{"actors":%d,"pool_rate":%.1f}}|}
+      cores grouped_regression_pct idle_workers idle_events
       (idle_pause *. 1e6)
-      lf_idle lk_idle idle_ratio grouped_idle grouped_ratio
-      grouped_regression_pct storm_tasks storm_yields lf_storm lk_storm
-      serial_ratio sat_tuples
+      ungrouped_idle grouped_idle grouped_ratio sat_tuples
       (String.concat ","
          (List.map
-            (fun (w, lf, lk) ->
-              Printf.sprintf
-                {|{"workers":%d,"lockfree_rate":%.1f,"locked_rate":%.1f,"ratio":%.3f}|}
-                w lf lk (lf /. lk))
+            (fun (w, r) -> Printf.sprintf {|{"workers":%d,"rate":%.1f}|} w r)
             sweep))
       grouped_groups idle_workers sat_grouped sat_ungrouped sat_grouped_ratio
-      (wall_rate m_dom) fission_actors (wall_rate m_fpool)
+      fission_actors fission_rate
   in
   write_bench_json "BENCH_sched.json" json;
-  let failed = ref false in
-  if idle_ratio < 1.3 then begin
-    Printf.printf
-      "FAIL: lock-free pool %.2fx the locked baseline on the idle-protocol \
-       gate (>= 1.3x required)\n"
-      idle_ratio;
-    failed := true
-  end;
-  if serial_ratio < 0.95 then begin
-    Printf.printf
-      "FAIL: lock-free pool regresses the serial yield storm by %.1f%% \
-       (budget 5%%)\n"
-      (100.0 *. (1.0 -. serial_ratio));
-    failed := true
-  end;
   if grouped_regression_pct > 5.0 then begin
     Printf.printf
       "FAIL: 2-group pool regresses the idle trickle by %.1f%% (budget 5%%)\n"
       grouped_regression_pct;
-    failed := true
-  end;
-  if !failed then exit 1
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* telemetry: cost of runtime telemetry on the 50-operator identity testbed
@@ -1289,7 +1214,7 @@ let telemetry_bench () =
   let registry _ = Ss_operators.Stateless_ops.identity in
   let workers = Stdlib.max 1 (Domain.recommended_domain_count ()) in
   let run ~telemetry =
-    Ss_runtime.Executor.run ~scheduler:(`Pool workers) ~timeout:300.0
+    Ss_runtime.Executor.run ~workers ~timeout:300.0
       ~instrument:
         { Ss_runtime.Executor.default_instrument with
           sample_occupancy = false; telemetry }
@@ -1361,10 +1286,11 @@ let telemetry_bench () =
   (* Fig. 11: the simulator's predicted latency distribution against the
      runtime's measured one, same measurement point (tuple age at behavior
      start), bottom-line data for the observability experiment. The runtime
-     twin uses sleeping (not busy-waiting) behaviors, one domain per actor
-     and a source paced at its declared service time, so even a single core
-     can emulate the dedicated-server queueing network the simulator
-     models; mailbox capacity matches the simulator's buffers. *)
+     twin uses sleeping (not busy-waiting) behaviors, one pool worker per
+     actor (a sleeping behavior holds its worker) and a source paced at its
+     declared service time, so even a single core can emulate the
+     dedicated-server queueing network the simulator models; mailbox
+     capacity matches the simulator's buffers. *)
   let fig11_topology = fig11 [ 1.0; 1.2; 0.7; 2.0; 1.5; 0.2 ] in
   let sim =
     Ss_sim.Engine.run
@@ -1391,7 +1317,9 @@ let telemetry_bench () =
       .Operator.service_time
   in
   let m_fig =
-    Ss_runtime.Executor.run ~scheduler:`Domain_per_actor ~timeout:300.0
+    Ss_runtime.Executor.run
+      ~workers:(actor_count fig11_topology)
+      ~timeout:300.0
       ~mailbox_capacity:(sim_config ()).Ss_sim.Engine.buffer_capacity
       ~instrument:
         {
@@ -1486,7 +1414,7 @@ let mailbox_bench () =
         Ss_operators.Tuple.make ~key:i [| float_of_int i |])
   in
   let run ?batch ~tuples topo () =
-    Ss_runtime.Executor.run ~scheduler:(`Pool cores) ?batch
+    Ss_runtime.Executor.run ~workers:cores ?batch
       ~timeout:300.0
       ~instrument:
         {
@@ -1911,7 +1839,7 @@ let fusion_bench () =
      handoff (identical on both sides of the gate) from diluting the
      per-member ratio under measurement. *)
   let run ?fused ?fusion () =
-    Ss_runtime.Executor.run ?fused ?fusion ~scheduler:(`Pool 2)
+    Ss_runtime.Executor.run ?fused ?fusion ~workers:2
       ~mailbox_capacity:1024 ~batch:(`Fixed 256)
       ~instrument:
         {
@@ -2024,7 +1952,7 @@ let fusion_bench () =
     else Ss_operators.Stateless_ops.identity
   in
   let s_run fusion () =
-    Ss_runtime.Executor.run ~fused:[ s_chain ] ~fusion ~scheduler:(`Pool 2)
+    Ss_runtime.Executor.run ~fused:[ s_chain ] ~fusion ~workers:2
       ~mailbox_capacity:1024 ~batch:(`Fixed 256)
       ~instrument:
         {
@@ -2071,7 +1999,7 @@ let fusion_bench () =
   let r_topo = Topology.create_exn r_ops r_edges in
   let r_group = List.init r_members (fun i -> i + 1) in
   let r_run fusion () =
-    Ss_runtime.Executor.run ~fused:[ r_group ] ~fusion ~scheduler:(`Pool 4)
+    Ss_runtime.Executor.run ~fused:[ r_group ] ~fusion ~workers:4
       ~mailbox_capacity:1024 ~batch:(`Fixed 256)
       ~instrument:
         {
@@ -2106,7 +2034,7 @@ let fusion_bench () =
      sampling stride. *)
   let run_compiled_telemetry () =
     Ss_runtime.Executor.run ~fused:[ chain ] ~fusion:`Compiled
-      ~scheduler:(`Pool 2) ~mailbox_capacity:1024 ~batch:(`Fixed 256)
+      ~workers:2 ~mailbox_capacity:1024 ~batch:(`Fixed 256)
       ~instrument:
         {
           Ss_runtime.Executor.default_instrument with

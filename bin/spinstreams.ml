@@ -421,24 +421,14 @@ let execute_cmd =
           ~doc:"Abort the run after $(docv) of wall-clock time; the report \
                 then shows the per-actor cancellation statuses.")
   in
-  let scheduler =
-    Arg.(
-      value
-      & opt (enum [ ("pool", `Pool); ("domains", `Domains) ]) `Pool
-      & info [ "scheduler" ] ~docv:"MODE"
-          ~doc:"Execution model: $(b,pool) (default) multiplexes all actors \
-                over a fixed worker pool (N:M work-stealing scheduler); \
-                $(b,domains) spawns one domain per actor (limited to ~110 \
-                actors).")
-  in
   let workers =
     Arg.(
       value
       & opt (some pos_int) None
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains of the pool scheduler, a positive integer \
-                (default: the machine's recommended domain count). Ignored \
-                with --scheduler=domains.")
+          ~doc:"Worker domains of the pool all actors multiplex over \
+                (N:M work-stealing scheduler), a positive integer \
+                (default: the machine's recommended domain count).")
   in
   let groups =
     (* "off" -> one locality group (historical behavior); "auto" -> one
@@ -468,8 +458,7 @@ let execute_cmd =
                 group; wakeups stay group-local and stealing prefers \
                 same-group victims). $(b,off) (default) keeps one group; \
                 $(b,auto) makes one group per ~4 workers; an integer \
-                forces that many groups (capped to the worker count). \
-                Ignored with --scheduler=domains.")
+                forces that many groups (capped to the worker count).")
   in
   let batch =
     (* "auto" / "auto:MAX" -> adaptive per-mailbox drains; an integer ->
@@ -606,19 +595,13 @@ let execute_cmd =
              $(b,interpreted) forces the Algorithm 4 walk everywhere. \
              Counts are identical either way.")
   in
-  let run path fused fusion tuples buffer timeout scheduler workers groups seed
+  let run path fused fusion tuples buffer timeout workers groups seed
       batch telemetry event_time watermark lateness disorder prom_out
       json_out =
     (match timeout with
     | Some limit when limit <= 0.0 ->
         or_die (Error "--timeout must be positive")
     | _ -> ());
-    let scheduler =
-      match (scheduler, workers) with
-      | `Domains, _ -> `Domain_per_actor
-      | `Pool, Some w -> `Pool w
-      | `Pool, None -> `Pool (Stdlib.max 1 (Domain.recommended_domain_count ()))
-    in
     let telemetry = telemetry || prom_out <> None in
     let instrument =
       { Ss_runtime.Executor.default_instrument with telemetry }
@@ -627,13 +610,12 @@ let execute_cmd =
     let placement =
       match groups with
       | `Off -> None
-      | (`Auto | `N _) as spec -> (
-          match scheduler with
-          | `Domain_per_actor ->
-              Printf.eprintf
-                "note: --groups is ignored with --scheduler=domains\n";
-              None
-          | `Pool w | `Locked_pool w ->
+      | (`Auto | `N _) as spec ->
+          let w =
+            match workers with
+            | Some w -> w
+            | None -> Ss_sched.Sched.default_workers ()
+          in
           let g =
             match spec with
             | `Auto -> Stdlib.max 1 (w / 4)
@@ -653,7 +635,7 @@ let execute_cmd =
               (String.concat " "
                  (Array.to_list (Array.map string_of_int assignment)));
             Some assignment
-          end)
+          end
     in
     let dead_letters = Ss_event.Dead_letter.create () in
     let event_time_config =
@@ -666,7 +648,7 @@ let execute_cmd =
     in
     let metrics =
       Ss_tool.Session.execute session ~fused ~fusion ~tuples
-        ~mailbox_capacity:buffer ?timeout ~scheduler ?placement ~seed ~batch
+        ~mailbox_capacity:buffer ?timeout ?workers ?placement ~seed ~batch
         ~instrument ?event_time:event_time_config ~disorder ()
     in
     print_string (Ss_tool.Session.runtime_report session metrics);
@@ -700,7 +682,7 @@ let execute_cmd =
              or the timeout fires.")
     Term.(
       const run $ topology_arg $ fused $ fusion $ tuples $ buffer $ timeout
-      $ scheduler $ workers $ groups $ seed_arg $ batch $ telemetry
+      $ workers $ groups $ seed_arg $ batch $ telemetry
       $ event_time $ watermark $ lateness $ disorder $ prom_out $ json_out)
 
 (* ------------------------------------------------------------------ *)

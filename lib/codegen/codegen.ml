@@ -73,11 +73,6 @@ let registry_arm v (op : Operator.t) =
         (float_lit op.Operator.service_time)
         cls
 
-let scheduler_expr = function
-  | `Domains -> "`Domain_per_actor"
-  | `Pool None -> "`Pool (Stdlib.max 1 (Domain.recommended_domain_count ()))"
-  | `Pool (Some w) -> Printf.sprintf "`Pool %d" w
-
 (* The drain policy is emitted explicitly so a generated program documents
    — and pins — how its actors drain their mailboxes, independently of the
    executor's defaults at deployment time. *)
@@ -188,7 +183,7 @@ let emit_chain buf ~gi ~members topology =
   line ""
 
 let program ?(fused = []) ?(fusion = `Auto) ?(tuples = 100_000) ?(seed = 42)
-    ?(scheduler = `Pool None) ?placement ?(batch = `Adaptive 32)
+    ?placement ?(batch = `Adaptive 32)
     ?(telemetry = false) topology =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -285,7 +280,6 @@ let program ?(fused = []) ?(fusion = `Auto) ?(tuples = 100_000) ?(seed = 42)
                 (String.concat "; " (List.map string_of_int g))
                 gi)
             chain_groups));
-  line "      ~scheduler:(%s)" (scheduler_expr scheduler);
   (match placement with
   | None -> ()
   | Some p ->
@@ -334,8 +328,8 @@ let dune_stanza ~name =
      ss_workload ss_runtime ss_telemetry unix))\n"
     name
 
-let write_project ~dir ~name ?fused ?fusion ?tuples ?seed ?scheduler ?placement
-    ?batch ?telemetry topology =
+let write_project ~dir ~name ?fused ?fusion ?tuples ?seed ?placement ?batch
+    ?telemetry topology =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write path contents =
     let oc = open_out path in
@@ -345,6 +339,6 @@ let write_project ~dir ~name ?fused ?fusion ?tuples ?seed ?scheduler ?placement
   in
   write
     (Filename.concat dir (name ^ ".ml"))
-    (program ?fused ?fusion ?tuples ?seed ?scheduler ?placement ?batch
-       ?telemetry topology);
+    (program ?fused ?fusion ?tuples ?seed ?placement ?batch ?telemetry
+       topology);
   write (Filename.concat dir "dune") (dune_stanza ~name)

@@ -19,7 +19,6 @@ val program :
   ?fusion:[ `Auto | `Interpreted | `Closed_loop ] ->
   ?tuples:int ->
   ?seed:int ->
-  ?scheduler:[ `Domains | `Pool of int option ] ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
   ?telemetry:bool ->
@@ -30,11 +29,9 @@ val program :
     {!Ss_operators.Catalog} fall back to a cost-faithful busy-wait stub with
     the declared selectivity, so generated programs always compile and
     reproduce the profiled load. [tuples] (default 100_000) sizes the
-    generated run; [fused] lists meta-operator groups. [scheduler] selects
-    the emitted execution model: [`Pool None] (default) emits an N:M pool
-    sized to the deployment machine at run time, [`Pool (Some w)] pins the
-    worker count, [`Domains] emits the one-domain-per-actor model.
-    [placement] (an {!Ss_placement}-style vertex->node assignment) is
+    generated run; [fused] lists meta-operator groups. The generated run
+    uses the executor's default pool, sized to the deployment machine at
+    run time. [placement] (an {!Ss_placement}-style vertex->node assignment) is
     emitted as an explicit [~placement] array so the deployed program
     keeps its locality plan; omitted when [None].
     [batch] (default [`Adaptive 32]) is emitted verbatim as the generated
@@ -66,7 +63,6 @@ val write_project :
   ?fusion:[ `Auto | `Interpreted | `Closed_loop ] ->
   ?tuples:int ->
   ?seed:int ->
-  ?scheduler:[ `Domains | `Pool of int option ] ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
   ?telemetry:bool ->

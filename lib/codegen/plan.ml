@@ -50,7 +50,7 @@ let resolve op =
 let registry topology v = resolve (Topology.operator topology v)
 
 let run ?ingest ?mailbox_capacity ?fused ?fusion ?ordered ?(seed = 42)
-    ?(tuples = 10_000) ?timeout ?scheduler ?placement ?batch
+    ?(tuples = 10_000) ?timeout ?workers ?placement ?batch
     ?instrument ?event_time ?(disorder = Ss_workload.Stream_gen.In_order)
     ?stream_spec topology =
   (* A log-backed run replays the ingest log; generating a synthetic
@@ -66,7 +66,7 @@ let run ?ingest ?mailbox_capacity ?fused ?fusion ?ordered ?(seed = 42)
   in
   Ss_runtime.Executor.run ?ingest ?mailbox_capacity ?fused ?fusion ?ordered
     ~seed
-    ?timeout ?scheduler ?placement ?batch ?instrument ?event_time
+    ?timeout ?workers ?placement ?batch ?instrument ?event_time
     ~source ~registry:(registry topology) topology
 
 (* Disorder an unbounded stream chunk by chunk: each block of [chunk]

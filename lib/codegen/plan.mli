@@ -23,7 +23,7 @@ val run :
   ?seed:int ->
   ?tuples:int ->
   ?timeout:float ->
-  ?scheduler:Ss_runtime.Executor.scheduler ->
+  ?workers:int ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
   ?instrument:Ss_runtime.Executor.instrument ->
@@ -36,7 +36,7 @@ val run :
     [tuples] (default 10_000) synthetic tuples from
     {!Ss_workload.Stream_gen} — or, with [ingest], replays a durable
     {!Ss_log.Log} instead (at-least-once; [tuples] and [stream_spec] are
-    then ignored). Options ([timeout], [scheduler],
+    then ignored). Options ([timeout], [workers],
     [placement], [batch], [instrument], [event_time] and
     [fusion] — the fused-group execution mode, default deploy-time staging
     with interpreted fallback — included) are forwarded to

@@ -199,7 +199,6 @@ module Completion = struct
     w
 end
 
-type scheduler = [ `Domain_per_actor | `Pool of int | `Locked_pool of int ]
 type batch = [ `Fixed of int | `Adaptive of int ]
 
 (* Shared-memory control plane between a running deployment and the elastic
@@ -266,55 +265,22 @@ let source_throttled ~rate source =
         incr emitted;
         Some t
 
-(* In [`Domain_per_actor] mode every actor body runs on its own domain, so
-   the runtime caps the actor count below the OCaml domain limit (the
-   monitor and watchdog domains ride on top of this budget). [`Pool] mode
-   has no such cap: any number of actors multiplex over the workers. *)
-let max_actors = 110
-
-(* Interval between mailbox-occupancy samples (monitor domain in legacy
-   mode, the pool's tick in pool mode). *)
+(* Interval between mailbox-occupancy samples, taken on the pool's tick. *)
 let sample_interval = 1e-3
-
-(* How an actor body touches mailboxes, abstracted over the execution
-   model. [cput] is a vertex-attributed put that accounts time spent
-   waiting on a full downstream mailbox as blocked/parked time;
-   [cput_batch] is its multi-item form, publishing a burst in amortized
-   mailbox transactions. [creader] builds a per-mailbox reader closure;
-   the pool version drains a batch per activation into a reusable buffer
-   to amortize scheduling cost, the legacy version is a plain blocking
-   [Mailbox.take]. [cburst] is the burst-granular reader used by fission
-   emitters: it returns a non-empty buffer of messages valid until the
-   next call, so the emitter can route a whole drain and republish it
-   with [cput_batch]. All raise {!Mailbox.Closed} on a poisoned mailbox,
-   preserving the supervision protocol identically in both modes. *)
-type ctx = {
-  cput : 'a. int -> 'a Mailbox.t -> 'a -> unit;
-  cput_batch : 'a. int -> 'a Mailbox.t -> 'a list -> unit;
-  creader : 'a. 'a Mailbox.t -> unit -> 'a;
-  cburst : 'a. 'a Mailbox.t -> unit -> 'a Queue.t;
-}
 
 let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     ?(mailbox_capacity = 64) ?(fused = []) ?(fusion = `Compiled) ?(chains = [])
     ?(flush_every = 4096) ?(routers = []) ?(ordered = []) ?(seed = 42) ?timeout
-    ?scheduler ?placement ?(batch = `Adaptive 32)
+    ?workers ?placement ?(batch = `Adaptive 32)
     ?(instrument = default_instrument) ~source ~registry topology =
   if flush_every < 1 then
     invalid_arg "Executor.run: flush_every must be >= 1";
-  let scheduler =
-    match scheduler with
-    | Some (`Pool w | `Locked_pool w) when w < 1 ->
-        invalid_arg "Executor.run: pool workers must be >= 1"
-    | Some s -> s
-    | None -> `Pool (Stdlib.max 1 (Domain.recommended_domain_count ()))
+  let workers =
+    match workers with
+    | Some w when w < 1 -> invalid_arg "Executor.run: workers must be >= 1"
+    | Some w -> w
+    | None -> Ss_sched.Sched.default_workers ()
   in
-  (match (control, scheduler) with
-  | Some _, `Domain_per_actor ->
-      invalid_arg
-        "Executor: live reconfiguration requires a pool scheduler (replicas \
-         spawned mid-run multiplex over the workers)"
-  | _ -> ());
   (match (control, ingest) with
   | Some _, Some _ ->
       invalid_arg
@@ -342,14 +308,12 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
   (match batch with
   | `Fixed b | `Adaptive b ->
       if b < 1 then invalid_arg "Executor.run: batch must be >= 1");
-  (* Cap on messages drained per activation; the adaptive policy moves
-     within [1, batch_max], a fixed policy always drains up to it. *)
-  let batch_max = match batch with `Fixed b | `Adaptive b -> b in
-  (* Per-mailbox drain-size policy. Fixed: always offer the full cap.
-     Adaptive: an EWMA of the occupancy observed at each activation
-     (returned by [Mailbox.take_batch] at no extra cost) sets the next
-     drain size — deep queues earn big drains, near-empty latency-bound
-     edges drain one or two and yield. *)
+  (* Per-mailbox drain-size policy, capping the messages drained per
+     activation. Fixed: always offer the full cap. Adaptive: an EWMA of
+     the occupancy observed at each activation (returned by
+     [Mailbox.take_batch] at no extra cost) sets the next drain size —
+     deep queues earn big drains, near-empty latency-bound edges drain one
+     or two and yield. *)
   let new_drain () =
     match batch with
     | `Fixed b -> ((fun () -> b), fun _occ -> ())
@@ -370,9 +334,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
      [Ss_placement] assignment). Normalize the ids to dense scheduler
      groups, collapse by modulo when there are more nodes than workers,
      and split the workers across groups as evenly as possible. Returns
-     [(group_of_vertex, group_sizes)]. Placement only affects pool
-     scheduling; [`Domain_per_actor] runs every actor on its own domain
-     and ignores it. *)
+     [(group_of_vertex, group_sizes)]. *)
   let placement_groups ~workers placement =
     if Array.length placement <> n then
       invalid_arg "Executor.run: placement length must equal topology size";
@@ -469,10 +431,9 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
   in
   let consumed = Array.init n (fun _ -> Atomic.make 0) in
   let produced = Array.init n (fun _ -> Atomic.make 0) in
-  (* Per-vertex seconds spent blocked (legacy) or parked (pool) on a full
-     downstream mailbox — the backpressure felt by the vertex. Timed only
-     on the slow path: a failed [try_put] costs one extra lock round-trip
-     before blocking/parking. *)
+  (* Per-vertex seconds a producer spent parked on a full downstream
+     mailbox — the backpressure felt by the vertex. Timed only on the slow
+     path, after a failed [try_put]. *)
   let blocked = Array.init n (fun _ -> Atomic.make 0.0) in
   let add_blocked v dt =
     let cell = blocked.(v) in
@@ -498,108 +459,72 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     (fun i (u, v, _) -> edge_idx.((u * n) + v) <- i)
     (Topology.edges topology);
   let edge_id u v = edge_idx.((u * n) + v) in
-  (* Blocking-put slow path under the pool: park the task (the worker moves
-     on) until the mailbox signals space, then retry — a wakeup is a hint,
-     not a reservation, so another producer may win the slot. *)
-  let sched_put mb x =
-    let rec go () =
-      Ss_sched.Sched.suspend ~register:(Mailbox.on_space mb);
-      if not (Mailbox.try_put mb x) then go ()
+  (* How an actor body touches mailboxes. [cput] is a vertex-attributed
+     put: when the mailbox is full it parks the task (the worker moves on)
+     until the mailbox signals space, then retries — a wakeup is a hint,
+     not a reservation, so another producer may win the slot — and
+     accounts the wait as the vertex's blocked time. [cput_batch] is its
+     multi-item form, publishing a burst in amortized mailbox transactions.
+     [creader] builds a per-mailbox reader closure that drains a batch per
+     activation into a reusable buffer to amortize scheduling cost.
+     [cburst] is the burst-granular reader used by fission emitters: it
+     returns a non-empty buffer of messages valid until the next call, so
+     the emitter can route a whole drain and republish it with
+     [cput_batch]. All raise {!Mailbox.Closed} on a poisoned mailbox. *)
+  let cput v mb x =
+    if not (Mailbox.try_put mb x) then begin
+      let t0 = Unix.gettimeofday () in
+      let rec go () =
+        Ss_sched.Sched.suspend ~register:(Mailbox.on_space mb);
+        if not (Mailbox.try_put mb x) then go ()
+      in
+      go ();
+      add_blocked v (Unix.gettimeofday () -. t0)
+    end
+  in
+  let cput_batch v mb xs =
+    match Mailbox.try_put_chunk mb xs with
+    | [] -> ()
+    | rest ->
+        let t0 = Unix.gettimeofday () in
+        let rec go xs =
+          Ss_sched.Sched.suspend ~register:(Mailbox.on_space mb);
+          match Mailbox.try_put_chunk mb xs with [] -> () | rest -> go rest
+        in
+        go rest;
+        add_blocked v (Unix.gettimeofday () -. t0)
+  in
+  let creader mb =
+    let buf = Queue.create () in
+    let want, observe = new_drain () in
+    let rec next () =
+      match Queue.take_opt buf with
+      | Some x -> x
+      | None ->
+          observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
+          if Queue.is_empty buf then begin
+            Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
+            next ()
+          end
+          else next ()
     in
-    if not (Mailbox.try_put mb x) then go ()
+    next
   in
-  (* Multi-item publish under the pool: park-and-retry on the unplaced
-     suffix until the whole burst is in. *)
-  let sched_put_batch mb xs =
-    let rec go xs =
-      Ss_sched.Sched.suspend ~register:(Mailbox.on_space mb);
-      match Mailbox.try_put_chunk mb xs with [] -> () | rest -> go rest
+  let cburst mb =
+    let buf = Queue.create () in
+    let want, observe = new_drain () in
+    let rec fill () =
+      observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
+      if Queue.is_empty buf then begin
+        Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
+        fill ()
+      end
     in
-    go xs
+    fun () ->
+      Queue.clear buf;
+      fill ();
+      buf
   in
-  let ctx =
-    match scheduler with
-    | `Domain_per_actor ->
-        {
-          cput =
-            (fun v mb x ->
-              if not (Mailbox.try_put mb x) then begin
-                let t0 = Unix.gettimeofday () in
-                Mailbox.put mb x;
-                add_blocked v (Unix.gettimeofday () -. t0)
-              end);
-          cput_batch =
-            (fun v mb xs ->
-              match Mailbox.try_put_chunk mb xs with
-              | [] -> ()
-              | rest ->
-                  let t0 = Unix.gettimeofday () in
-                  Mailbox.put_batch mb rest;
-                  add_blocked v (Unix.gettimeofday () -. t0));
-          creader = (fun mb () -> Mailbox.take mb);
-          cburst =
-            (fun mb ->
-              let buf = Queue.create () in
-              fun () ->
-                Queue.clear buf;
-                (* One blocking take for the head of the burst, then a
-                   non-blocking drain of whatever else is already there. *)
-                Queue.push (Mailbox.take mb) buf;
-                if batch_max > 1 then
-                  ignore (Mailbox.take_batch mb ~max:(batch_max - 1) ~into:buf);
-                buf);
-        }
-    | `Pool _ | `Locked_pool _ ->
-        {
-          cput =
-            (fun v mb x ->
-              if not (Mailbox.try_put mb x) then begin
-                let t0 = Unix.gettimeofday () in
-                sched_put mb x;
-                add_blocked v (Unix.gettimeofday () -. t0)
-              end);
-          cput_batch =
-            (fun v mb xs ->
-              match Mailbox.try_put_chunk mb xs with
-              | [] -> ()
-              | rest ->
-                  let t0 = Unix.gettimeofday () in
-                  sched_put_batch mb rest;
-                  add_blocked v (Unix.gettimeofday () -. t0));
-          creader =
-            (fun mb ->
-              let buf = Queue.create () in
-              let want, observe = new_drain () in
-              let rec next () =
-                match Queue.take_opt buf with
-                | Some x -> x
-                | None ->
-                    observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
-                    if Queue.is_empty buf then begin
-                      Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
-                      next ()
-                    end
-                    else next ()
-              in
-              next);
-          cburst =
-            (fun mb ->
-              let buf = Queue.create () in
-              let want, observe = new_drain () in
-              let rec fill () =
-                observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
-                if Queue.is_empty buf then begin
-                  Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
-                  fill ()
-                end
-              in
-              fun () ->
-                Queue.clear buf;
-                fill ();
-                buf);
-        }
-  in
-  let put_from v mb x = ctx.cput v mb x in
   (* --- event time ---------------------------------------------------
      Watermarks are generated at the source(s) and travel in-band as
      [Wm (slot, w)] messages. Slot assignment is static, derived from the
@@ -647,7 +572,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
       |> List.map (fun w -> (mailbox_of w, wm_slot ~receiver:w sender))
   in
   let wm_forward v targets m =
-    List.iter (fun (mb, slot) -> put_from v mb (Wm (slot, m))) targets
+    List.iter (fun (mb, slot) -> cput v mb (Wm (slot, m))) targets
   in
   (* The evented instance of a behavior, shared between its [efn] and its
      watermark/late hooks; [None] for ordinary behaviors. *)
@@ -721,9 +646,9 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     | Some s ->
         fun dest out birth tk ->
           Sink.incr_edge s (edge_id v dest);
-          put_from v (mailbox_of dest) (wrap out birth tk)
+          cput v (mailbox_of dest) (wrap out birth tk)
     | None ->
-        fun dest out _birth tk -> put_from v (mailbox_of dest) (wrap_plain out tk)
+        fun dest out _birth tk -> cput v (mailbox_of dest) (wrap_plain out tk)
   in
   (* Route-then-send for one invocation's outputs under tracking: the
      number of surviving instances must be known (and settled) before the
@@ -848,7 +773,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   loop ()
               | None ->
                   wm_forward src wmt infinity;
-                  List.iter (fun mb -> put_from src mb Eos)
+                  List.iter (fun mb -> cput src mb Eos)
                     (eos_targets (external_succs src))
             in
             loop ())
@@ -923,7 +848,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | [] ->
                     maybe_commit ~force:true ();
                     wm_forward src wmt infinity;
-                    List.iter (fun mb -> put_from src mb Eos)
+                    List.iter (fun mb -> cput src mb Eos)
                       (eos_targets (external_succs src))
                 | records ->
                     List.iter emit records;
@@ -1044,8 +969,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           let stamped = new_stamper snk in
           let emit =
             match snk with
-            | Some _ -> fun out birth tk -> put_from v collector_mb (wrap out birth tk)
-            | None -> fun out _birth tk -> put_from v collector_mb (wrap_plain out tk)
+            | Some _ -> fun out birth tk -> cput v collector_mb (wrap out birth tk)
+            | None -> fun out _birth tk -> cput v collector_mb (wrap_plain out tk)
           in
           let export () =
             match inst with
@@ -1054,7 +979,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             | `Plain _ -> []
           in
           let body () =
-            let next = ctx.creader mb in
+            let next = creader mb in
             let continue = ref true in
             (* Single producer (the emitter), so the merge is scalar. *)
             let mg = Wm_merge.create 1 in
@@ -1077,7 +1002,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               | Some s when Float.is_finite m ->
                   Sink.record_wm_lag s v (Float.max 0.0 (!max_seen -. m))
               | _ -> ());
-              put_from v collector_mb (Wm (r, m))
+              cput v collector_mb (Wm (r, m))
             in
             let handle t birth tk =
               match evented with
@@ -1104,10 +1029,10 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                      match Wm_merge.force mg with
                      | Some m -> fire m
                      | None -> ());
-                  put_from v collector_mb Eos;
+                  cput v collector_mb Eos;
                   continue := false
               | Drain ->
-                  put_from v handoff_mb (export ());
+                  cput v handoff_mb (export ());
                   continue := false
               | Data t -> handle t 0.0 No_track
               | Timed (t, birth) -> handle t birth No_track
@@ -1133,8 +1058,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           gen0_mbs;
         (* emitter *)
         add_actor ~actor:(opname v ^ ".emitter") ~vertex:v (fun () ->
-            let next = ctx.cburst inbox in
-            let next_handoff = ctx.creader handoff_mb in
+            let next = cburst inbox in
+            let next_handoff = creader handoff_mb in
             let degree = ref initial in
             let gen = ref 0 in
             let mbs = ref gen0_mbs in
@@ -1145,7 +1070,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             let emg = Wm_merge.create expected in
             let reconfigure want =
               let t0 = Unix.gettimeofday () in
-              Array.iter (fun mb -> put_from v mb Drain) !mbs;
+              Array.iter (fun mb -> cput v mb Drain) !mbs;
               let merged = ref [] in
               for _ = 1 to !degree do
                 merged := List.rev_append (next_handoff ()) !merged
@@ -1161,13 +1086,13 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                  workers are not spawned yet, so putting it now, ahead of
                  the spawn, guarantees the order. *)
               let floor = Wm_merge.current emg in
-              if et_on then put_from v collector_mb (Resize (d, floor));
+              if et_on then cput v collector_mb (Resize (d, floor));
               let mbs' = Array.init d (fun _ -> new_mailbox ~spsc:true ()) in
               (* Prime each new worker with the floor as its first message
                  so its scalar merge starts where the old generation
                  stopped. *)
               if et_on && floor > neg_infinity then
-                Array.iter (fun mb -> put_from v mb (Wm (0, floor))) mbs';
+                Array.iter (fun mb -> cput v mb (Wm (0, floor))) mbs';
               let parts = Array.make d None in
               (match partition_of d with
               | Some owner ->
@@ -1227,15 +1152,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | [] -> ()
                 | acc ->
                     bks.(r) <- [];
-                    ctx.cput_batch v !mbs.(r) (List.rev acc)
+                    cput_batch v !mbs.(r) (List.rev acc)
               done
             done;
             (if et_on then
                match Wm_merge.force emg with
-               | Some m -> Array.iter (fun mb -> put_from v mb (Wm (0, m))) !mbs
+               | Some m -> Array.iter (fun mb -> cput v mb (Wm (0, m))) !mbs
                | None -> ());
-            Array.iter (fun mb -> put_from v mb Eos) !mbs;
-            put_from v collector_mb (Expect !degree));
+            Array.iter (fun mb -> cput v mb Eos) !mbs;
+            cput v collector_mb (Expect !degree));
         (* collector *)
         let rng = Rng.create (seed + (104729 * (v + 1))) in
         let choose = chooser v rng in
@@ -1243,7 +1168,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         let send = sender snk v in
         let wmt = wm_targets v (external_succs v) in
         add_actor ~actor:(opname v ^ ".collector") ~vertex:v (fun () ->
-            let next = ctx.creader collector_mb in
+            let next = creader collector_mb in
             let eos = ref 0 in
             let expect = ref (-1) in
             (* Min across the current generation's replicas; [Resize]
@@ -1275,7 +1200,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                match Wm_merge.force mg with
                | Some m -> wm_forward v wmt m
                | None -> ());
-            List.iter (fun mb -> put_from v mb Eos)
+            List.iter (fun mb -> cput v mb Eos)
               (eos_targets (external_succs v)))
       end
       else if op.Operator.replicas = 1 then begin
@@ -1294,7 +1219,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         let stamped = new_stamper snk in
         let wmt = wm_targets v (external_succs v) in
         add_actor ~actor:(opname v) ~vertex:v (fun () ->
-            let next = ctx.creader inbox in
+            let next = creader inbox in
             let eos = ref 0 in
             let mg = Wm_merge.create expected in
             let max_seen = ref neg_infinity in
@@ -1344,7 +1269,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             done;
             (if et_on then
                match Wm_merge.force mg with Some m -> fire m | None -> ());
-            List.iter (fun mb -> put_from v mb Eos)
+            List.iter (fun mb -> cput v mb Eos)
               (eos_targets (external_succs v)))
       end
       else if List.mem v ordered then begin
@@ -1362,7 +1287,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
            marker. *)
         let out_mb = Array.init replicas (fun _ -> new_mailbox ~spsc:true ()) in
         add_actor ~actor:(opname v ^ ".emitter") ~vertex:v (fun () ->
-            let next = ctx.cburst inbox in
+            let next = cburst inbox in
             let eos = ref 0 in
             let rr = ref 0 in
             let mg = Wm_merge.create expected in
@@ -1401,7 +1326,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | [] -> ()
                 | acc ->
                     buckets.(r) <- [];
-                    ctx.cput_batch v worker_mb.(r) (List.rev acc)
+                    cput_batch v worker_mb.(r) (List.rev acc)
               done
             done;
             (if et_on then
@@ -1409,15 +1334,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                | Some adv ->
                    let r = !rr mod replicas in
                    incr rr;
-                   put_from v worker_mb.(r) (Wm (0, adv))
+                   cput v worker_mb.(r) (Wm (0, adv))
                | None -> ());
-            Array.iter (fun mb -> put_from v mb Eos) worker_mb);
+            Array.iter (fun mb -> cput v mb Eos) worker_mb);
         for r = 0 to replicas - 1 do
           let snk = new_sink () in
           let apply = invoke snk v (Behavior.instantiate behavior) in
           add_actor ~actor:(Printf.sprintf "%s.worker%d" (opname v) r)
             ~vertex:v (fun () ->
-              let next = ctx.creader worker_mb.(r) in
+              let next = creader worker_mb.(r) in
               let continue = ref true in
               let handle t birth tk =
                 Atomic.incr consumed.(v);
@@ -1426,17 +1351,17 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 (* The whole batch rides one entry, so the record's single
                    in-flight instance transfers with it: nothing settles
                    until the collector routes the batch. *)
-                put_from v out_mb.(r) (Obatch (outs, birth, tk))
+                cput v out_mb.(r) (Obatch (outs, birth, tk))
               in
               while !continue do
                 match next () with
                 | Eos ->
-                    put_from v out_mb.(r) Odone;
+                    cput v out_mb.(r) Odone;
                     continue := false
                 | Data t -> handle t 0.0 No_track
                 | Timed (t, birth) -> handle t birth No_track
                 | Tracked (t, birth, tk) -> handle t birth tk
-                | Wm (_, w) -> put_from v out_mb.(r) (Owm w)
+                | Wm (_, w) -> cput v out_mb.(r) (Owm w)
                 | Drain | Expect _ | Resize _ | Routed _ ->
                     assert false (* elastic units only *)
               done)
@@ -1446,7 +1371,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         let snk = new_sink () in
         let send = sender snk v in
         add_actor ~actor:(opname v ^ ".collector") ~vertex:v (fun () ->
-            let next = Array.map (fun mb -> ctx.creader mb) out_mb in
+            let next = Array.map (fun mb -> creader mb) out_mb in
             let forward birth tk outs =
               match tk with
               | No_track ->
@@ -1494,7 +1419,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             (* Defensive flush: re-announcing infinity is idempotent at the
                receivers' merges. *)
             if et_on then wm_forward v wmt infinity;
-            List.iter (fun mb -> put_from v mb Eos)
+            List.iter (fun mb -> cput v mb Eos)
               (eos_targets (external_succs v)))
       end
       else begin
@@ -1523,7 +1448,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
            or key-based, so bucketing changes neither the assignment nor
            any per-worker order. *)
         add_actor ~actor:(opname v ^ ".emitter") ~vertex:v (fun () ->
-            let next = ctx.cburst inbox in
+            let next = cburst inbox in
             let eos = ref 0 in
             let rr = ref 0 in
             let mg = Wm_merge.create expected in
@@ -1555,15 +1480,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | [] -> ()
                 | acc ->
                     buckets.(r) <- [];
-                    ctx.cput_batch v worker_mb.(r) (List.rev acc)
+                    cput_batch v worker_mb.(r) (List.rev acc)
               done
             done;
             (if et_on then
                match Wm_merge.force mg with
                | Some adv ->
-                   Array.iter (fun mb -> put_from v mb (Wm (0, adv))) worker_mb
+                   Array.iter (fun mb -> cput v mb (Wm (0, adv))) worker_mb
                | None -> ());
-            Array.iter (fun mb -> put_from v mb Eos) worker_mb);
+            Array.iter (fun mb -> cput v mb Eos) worker_mb);
         (* workers *)
         for r = 0 to replicas - 1 do
           let snk = new_sink () in
@@ -1577,12 +1502,12 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           let stamped = new_stamper snk in
           let emit =
             match snk with
-            | Some _ -> fun out birth tk -> put_from v collector_mb (wrap out birth tk)
-            | None -> fun out _birth tk -> put_from v collector_mb (wrap_plain out tk)
+            | Some _ -> fun out birth tk -> cput v collector_mb (wrap out birth tk)
+            | None -> fun out _birth tk -> cput v collector_mb (wrap_plain out tk)
           in
           add_actor ~actor:(Printf.sprintf "%s.worker%d" (opname v) r)
             ~vertex:v (fun () ->
-              let next = ctx.creader worker_mb.(r) in
+              let next = creader worker_mb.(r) in
               let continue = ref true in
               let mg = Wm_merge.create 1 in
               let max_seen = ref neg_infinity in
@@ -1604,7 +1529,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | Some s when Float.is_finite m ->
                     Sink.record_wm_lag s v (Float.max 0.0 (!max_seen -. m))
                 | _ -> ());
-                put_from v collector_mb (Wm (r, m))
+                cput v collector_mb (Wm (r, m))
               in
               let handle t birth tk =
                 match evented with
@@ -1631,7 +1556,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                        match Wm_merge.force mg with
                        | Some m -> fire m
                        | None -> ());
-                    put_from v collector_mb Eos;
+                    cput v collector_mb Eos;
                     continue := false
                 | Data t -> handle t 0.0 No_track
                 | Timed (t, birth) -> handle t birth No_track
@@ -1651,7 +1576,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         let send = sender snk v in
         let wmt = wm_targets v (external_succs v) in
         add_actor ~actor:(opname v ^ ".collector") ~vertex:v (fun () ->
-            let next = ctx.creader collector_mb in
+            let next = creader collector_mb in
             let eos = ref 0 in
             (* The fission fan-in: the unit's outgoing watermark is the
                minimum across its replicas. *)
@@ -1678,7 +1603,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                match Wm_merge.force mg with
                | Some m -> wm_forward v wmt m
                | None -> ());
-            List.iter (fun mb -> put_from v mb Eos)
+            List.iter (fun mb -> cput v mb Eos)
               (eos_targets (external_succs v)))
       end
     end
@@ -1908,15 +1833,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               match tl with
               | Some tlr ->
                   fun _ dest out ->
-                    put_from front collector_mb
+                    cput front collector_mb
                       (Routed (dest, out, !(tlr.Fused_compile.birth)))
               | None ->
                   fun _ dest out ->
-                    put_from front collector_mb (Routed (dest, out, 0.0))
+                    cput front collector_mb (Routed (dest, out, 0.0))
             in
             let body () =
               host_loop
-                ~next:(ctx.creader mb)
+                ~next:(creader mb)
                 ~tl ~snk
                 ~rng:(Rng.create (group_seed r))
                 ~staged:(staged_of tl)
@@ -1926,10 +1851,10 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   | None -> ())
                 ~emit
                 ~on_eos:(fun _ _ ->
-                  put_from front collector_mb Eos;
+                  cput front collector_mb Eos;
                   true)
                 ~on_drain:(fun inst ->
-                  put_from front handoff_mb (inst.Fused_compile.export ()))
+                  cput front handoff_mb (inst.Fused_compile.export ()))
                 ()
             in
             ( Printf.sprintf "fused%d.%s.g%d.worker%d" gi (opname front) gen r,
@@ -1948,8 +1873,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             ~actor:(Printf.sprintf "fused%d.%s.emitter" gi (opname front))
             ~vertex:front
             (fun () ->
-              let next = ctx.cburst inbox in
-              let next_handoff = ctx.creader handoff_mb in
+              let next = cburst inbox in
+              let next_handoff = creader handoff_mb in
               let degree = ref initial in
               let gen = ref 0 in
               let mbs = ref gen0_mbs in
@@ -1959,7 +1884,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               let rr = ref 0 in
               let reconfigure want =
                 let t0 = Unix.gettimeofday () in
-                Array.iter (fun mb -> put_from front mb Drain) !mbs;
+                Array.iter (fun mb -> cput front mb Drain) !mbs;
                 let merged = ref [] in
                 for _ = 1 to !degree do
                   merged := List.rev_append (next_handoff ()) !merged
@@ -2022,11 +1947,11 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   | [] -> ()
                   | acc ->
                       bks.(r) <- [];
-                      ctx.cput_batch front !mbs.(r) (List.rev acc)
+                      cput_batch front !mbs.(r) (List.rev acc)
                 done
               done;
-              Array.iter (fun mb -> put_from front mb Eos) !mbs;
-              put_from front collector_mb (Expect !degree));
+              Array.iter (fun mb -> cput front mb Eos) !mbs;
+              cput front collector_mb (Expect !degree));
           (* collector: forwards pre-routed results — the worker chains
              already drew destinations and counted edges — and terminates
              on the final generation's degree. *)
@@ -2034,17 +1959,17 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             ~actor:(Printf.sprintf "fused%d.%s.collector" gi (opname front))
             ~vertex:front
             (fun () ->
-              let next = ctx.creader collector_mb in
+              let next = creader collector_mb in
               let eos = ref 0 in
               let expect = ref (-1) in
               let forward =
                 match collector with
                 | Some _ ->
                     fun dest out birth ->
-                      put_from front (mailbox_of dest) (Timed (out, birth))
+                      cput front (mailbox_of dest) (Timed (out, birth))
                 | None ->
                     fun dest out _ ->
-                      put_from front (mailbox_of dest) (Data out)
+                      cput front (mailbox_of dest) (Data out)
               in
               while !expect < 0 || !eos < !expect do
                 match next () with
@@ -2054,7 +1979,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | Data _ | Timed _ | Tracked _ | Wm _ | Drain | Resize _ ->
                     assert false
               done;
-              List.iter (fun mb -> put_from front mb Eos)
+              List.iter (fun mb -> cput front mb Eos)
                 (eos_targets all_external));
           true
         end
@@ -2082,7 +2007,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             ~actor:(Printf.sprintf "fused%d.%s.emitter" gi (opname front))
             ~vertex:front
             (fun () ->
-              let next = ctx.cburst inbox in
+              let next = cburst inbox in
               let eos = ref 0 in
               let rr = ref 0 in
               let buckets = Array.make replicas [] in
@@ -2105,10 +2030,10 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   | [] -> ()
                   | acc ->
                       buckets.(r) <- [];
-                      ctx.cput_batch front worker_mb.(r) (List.rev acc)
+                      cput_batch front worker_mb.(r) (List.rev acc)
                 done
               done;
-              Array.iter (fun mb -> put_from front mb Eos) worker_mb);
+              Array.iter (fun mb -> cput front mb Eos) worker_mb);
           for r = 0 to replicas - 1 do
             let snk = new_sink () in
             let tl = new_fused_tl snk in
@@ -2116,11 +2041,11 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               match tl with
               | Some tlr ->
                   fun _ dest out ->
-                    put_from front collector_mb
+                    cput front collector_mb
                       (Routed (dest, out, !(tlr.Fused_compile.birth)))
               | None ->
                   fun _ dest out ->
-                    put_from front collector_mb (Routed (dest, out, 0.0))
+                    cput front collector_mb (Routed (dest, out, 0.0))
             in
             add_actor
               ~actor:
@@ -2128,14 +2053,14 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               ~vertex:front
               (fun () ->
                 host_loop
-                  ~next:(ctx.creader worker_mb.(r))
+                  ~next:(creader worker_mb.(r))
                   ~tl ~snk
                   ~rng:(Rng.create (group_seed r))
                   ~staged:(staged_of tl)
                   ~prepare:ignore
                   ~emit
                   ~on_eos:(fun _ _ ->
-                    put_from front collector_mb Eos;
+                    cput front collector_mb Eos;
                     true)
                   ~on_drain:(fun _ -> assert false (* static unit *))
                   ())
@@ -2144,16 +2069,16 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             ~actor:(Printf.sprintf "fused%d.%s.collector" gi (opname front))
             ~vertex:front
             (fun () ->
-              let next = ctx.creader collector_mb in
+              let next = creader collector_mb in
               let eos = ref 0 in
               let forward =
                 match collector with
                 | Some _ ->
                     fun dest out birth ->
-                      put_from front (mailbox_of dest) (Timed (out, birth))
+                      cput front (mailbox_of dest) (Timed (out, birth))
                 | None ->
                     fun dest out _ ->
-                      put_from front (mailbox_of dest) (Data out)
+                      cput front (mailbox_of dest) (Data out)
               in
               while !eos < replicas do
                 match next () with
@@ -2163,7 +2088,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 | Resize _ ->
                     assert false
               done;
-              List.iter (fun mb -> put_from front mb Eos)
+              List.iter (fun mb -> cput front mb Eos)
                 (eos_targets all_external));
           true
         end
@@ -2195,24 +2120,24 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 match tl with
                 | Some tlr ->
                     fun v dest out ->
-                      put_from v (mailbox_of dest)
+                      cput v (mailbox_of dest)
                         (Timed (out, !(tlr.Fused_compile.birth)))
                 | None ->
-                    fun v dest out -> put_from v (mailbox_of dest) (Data out)
+                    fun v dest out -> cput v (mailbox_of dest) (Data out)
               in
               add_actor
                 ~actor:(Printf.sprintf "fused%d.%s" gi (opname front))
                 ~vertex:front
                 (fun () ->
                   host_loop
-                    ~next:(ctx.creader inbox)
+                    ~next:(creader inbox)
                     ~tl ~snk
                     ~rng:(Rng.create (group_seed 0))
                     ~staged ~prepare:ignore ~emit
                     ~on_eos:(fun _ eos ->
                       if eos < expected then false
                       else begin
-                        List.iter (fun mb -> put_from front mb Eos)
+                        List.iter (fun mb -> cput front mb Eos)
                           (eos_targets all_external);
                         true
                       end)
@@ -2317,7 +2242,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         ~actor:(Printf.sprintf "fused%d.%s" gi (opname front))
         ~vertex:front
         (fun () ->
-          let next = ctx.creader inbox in
+          let next = creader inbox in
           let eos = ref 0 in
           let mg = Wm_merge.create expected in
           let max_seen = ref neg_infinity in
@@ -2370,24 +2295,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           done;
           (if et_on then
              match Wm_merge.force mg with Some m -> fire m | None -> ());
-          List.iter (fun mb -> put_from front mb Eos)
+          List.iter (fun mb -> cput front mb Eos)
             (eos_targets all_external))
       end)
     fused;
 
   let actors = List.rev !actors in
-  (match scheduler with
-  | `Domain_per_actor when List.length actors > max_actors ->
-      invalid_arg
-        (Printf.sprintf
-           "Executor.run: %d actors exceed the domain budget of %d; reduce \
-            replicas, fuse operators, or use the `Pool scheduler"
-           (List.length actors) max_actors)
-  | _ -> ());
-  let finished = Atomic.make false in
-  (* Entry-mailbox occupancy sampling: run by a dedicated monitor domain in
-     legacy mode, by the pool's tick (on the calling domain) in pool mode —
-     no extra domain, and none at all when the caller opts out. *)
+  (* Entry-mailbox occupancy sampling, run by the pool's tick on the
+     calling domain — no extra domain, and none at all when the caller opts
+     out. *)
   let occ_sum = Array.make n 0.0 in
   let occ_samples = ref 0 in
   let sample_occ () =
@@ -2399,106 +2315,74 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     incr occ_samples
   in
   (* One periodic instrumentation pass: occupancy sampling and the live
-     telemetry aggregate share the tick/monitor cadence. Telemetry alone
-     does not force a tick — on small machines a 1 ms tick costs more than
-     all the recording combined; without one, [Collector.live] merges on
-     demand and the final report is aggregated after the join anyway. *)
+     telemetry aggregate share the tick cadence. Telemetry alone does not
+     force a tick — on small machines a 1 ms tick costs more than all the
+     recording combined; without one, [Collector.live] merges on demand and
+     the final report is aggregated after the join anyway. *)
   let instr_active = instrument.sample_occupancy in
   let instr_tick () =
     sample_occ ();
     Option.iter Telemetry.Collector.refresh collector
   in
-  (* Watchdog domain: trip the supervisor when the wall-clock budget runs
-     out. Cancellation is cooperative — it takes effect when actors touch a
-     mailbox — so a behavior spinning forever on one tuple is not
-     interruptible. *)
-  let spawn_watchdog () =
-    Option.map
-      (fun limit ->
-        Domain.spawn (fun () ->
-            let t0 = Unix.gettimeofday () in
-            let tick = Float.min 0.005 (limit /. 10.0) in
-            let rec wait () =
-              if Atomic.get finished then ()
-              else if Unix.gettimeofday () -. t0 >= limit then
-                Supervision.trip_timeout sup ~after:limit
-              else begin
-                Unix.sleepf tick;
-                wait ()
-              end
-            in
-            wait ()))
-      timeout
-  in
   let t0 = Unix.gettimeofday () in
-  (match scheduler with
-  | `Domain_per_actor ->
-      let monitor =
-        if instr_active then
-          Some
-            (Domain.spawn (fun () ->
-                 while not (Atomic.get finished) do
-                   instr_tick ();
-                   Unix.sleepf sample_interval
-                 done))
-        else None
+  let group_of_vertex, group_sizes =
+    match placement with
+    | Some p -> placement_groups ~workers p
+    | None -> (Array.make n 0, [| workers |])
+  in
+  let pool = Ss_sched.Sched.create ~workers ~groups:group_sizes ~reserve () in
+  let ngroups = Array.length group_sizes in
+  List.iter
+    (fun (actor, vertex, group_hint, body) ->
+      let group =
+        match (group_hint, vertex) with
+        | Some g, _ -> g mod ngroups
+        | None, Some v -> group_of_vertex.(v)
+        | None, None -> 0
       in
-      let watchdog = spawn_watchdog () in
-      let domains =
-        List.map
-          (fun (actor, vertex, _hint, body) ->
-            Domain.spawn (Supervision.supervise sup ~actor ?vertex body))
-          actors
-      in
-      List.iter Domain.join domains;
-      Atomic.set finished true;
-      Option.iter Domain.join monitor;
-      Option.iter Domain.join watchdog
-  | (`Pool w | `Locked_pool w) as pool_kind ->
-      let impl =
-        match pool_kind with `Locked_pool _ -> `Locked | `Pool _ -> `Lockfree
-      in
-      let group_of_vertex, group_sizes =
-        match placement with
-        | Some p -> placement_groups ~workers:w p
-        | None -> (Array.make n 0, [| w |])
-      in
-      let pool =
-        Ss_sched.Sched.create ~workers:w ~groups:group_sizes ~reserve ~impl ()
-      in
-      let ngroups = Array.length group_sizes in
-      List.iter
-        (fun (actor, vertex, group_hint, body) ->
-          let group =
-            match (group_hint, vertex) with
-            | Some g, _ -> g mod ngroups
-            | None, Some v -> group_of_vertex.(v)
-            | None, None -> 0
-          in
-          Ss_sched.Sched.spawn ~group pool
-            (Supervision.supervise sup ~actor ?vertex body))
-        actors;
-      (spawn_dyn :=
-         fun ~actor ~vertex body ->
-           Ss_sched.Sched.spawn ~group:group_of_vertex.(vertex) pool
-             (Supervision.supervise sup ~actor ~vertex body));
-      Option.iter
-        (fun f ->
-          f
-            {
-              li_consumed = consumed;
-              li_produced = produced;
-              li_collector = collector;
-              li_pool = pool;
-            })
-        notify;
-      let watchdog = spawn_watchdog () in
-      let tick =
-        if instr_active then Some (sample_interval, instr_tick) else None
-      in
-      Ss_sched.Sched.run ?tick pool;
-      Atomic.set finished true;
-      Option.iter Domain.join watchdog);
+      Ss_sched.Sched.spawn ~group pool
+        (Supervision.supervise sup ~actor ?vertex body))
+    actors;
+  (spawn_dyn :=
+     fun ~actor ~vertex body ->
+       Ss_sched.Sched.spawn ~group:group_of_vertex.(vertex) pool
+         (Supervision.supervise sup ~actor ~vertex body));
+  Option.iter
+    (fun f ->
+      f
+        {
+          li_consumed = consumed;
+          li_produced = produced;
+          li_collector = collector;
+          li_pool = pool;
+        })
+    notify;
+  (* Watchdog, on the same tick: trip the supervisor when the wall-clock
+     budget runs out. Cancellation is cooperative — it takes effect when
+     actors touch a mailbox — so a behavior spinning forever on one tuple
+     is not interruptible. *)
+  let watchdog () =
+    match timeout with
+    | Some limit
+      when (not (Supervision.tripped sup))
+           && Unix.gettimeofday () -. t0 >= limit ->
+        Supervision.trip_timeout sup ~after:limit
+    | _ -> ()
+  in
+  let interval =
+    if instr_active then Some sample_interval
+    else Option.map (fun limit -> Float.min 0.005 (limit /. 10.0)) timeout
+  in
+  let tick =
+    Option.map
+      (fun i ->
+        ( i,
+          fun () ->
+            if instr_active then instr_tick ();
+            watchdog () ))
+      interval
+  in
+  Ss_sched.Sched.run ?tick pool;
   let elapsed = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
   (* Final offset commit, whatever the outcome: after a clean drain the
      watermark is the log end; after a timeout or failure it is exactly
@@ -2535,10 +2419,10 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
   }
 
 let run ?ingest ?event_time ?mailbox_capacity ?fused ?fusion ?chains
-    ?flush_every ?routers ?ordered ?seed ?timeout ?scheduler ?placement ?batch
+    ?flush_every ?routers ?ordered ?seed ?timeout ?workers ?placement ?batch
     ?instrument ~source ~registry topology =
   run_internal ?ingest ?event_time ?mailbox_capacity ?fused ?fusion ?chains
-    ?flush_every ?routers ?ordered ?seed ?timeout ?scheduler ?placement ?batch
+    ?flush_every ?routers ?ordered ?seed ?timeout ?workers ?placement ?batch
     ?instrument ~source ~registry topology
 
 (* ------------------------------------------------------------------ *)
@@ -2556,15 +2440,10 @@ module Live = struct
 
   let start ?event_time ?(mailbox_capacity = 64) ?fused ?fusion ?chains
       ?flush_every ?(routers = []) ?(seed = 42) ?timeout ?workers
-      ?(reserve = 0) ?(locked = false) ?(batch = `Adaptive 32)
+      ?(reserve = 0) ?(batch = `Adaptive 32)
       ?(instrument = { default_instrument with telemetry = true }) ~source
       ~registry topology =
     let n = Topology.size topology in
-    let workers =
-      match workers with
-      | Some w -> w
-      | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
-    in
     let ctl =
       {
         target = Array.init n (fun _ -> Atomic.make 1);
@@ -2580,7 +2459,6 @@ module Live = struct
         Atomic.set ctl.target.(v) op.Operator.replicas;
         Atomic.set ctl.applied.(v) op.Operator.replicas)
       (Topology.operators topology);
-    let scheduler = if locked then `Locked_pool workers else `Pool workers in
     let source () = if Atomic.get ctl.stop then None else source () in
     (* The handle is only returned once deployment completed and the pool is
        about to run, so accessors never see half-built internals; a
@@ -2601,7 +2479,7 @@ module Live = struct
           try
             run_internal ~control:ctl ~notify ?event_time ~reserve
               ~mailbox_capacity ?fused ?fusion ?chains ?flush_every ~routers
-              ~seed ?timeout ~scheduler ~batch ~instrument ~source
+              ~seed ?timeout ?workers ~batch ~instrument ~source
               ~registry topology
           with e ->
             Mutex.lock ready_m;

@@ -1,15 +1,13 @@
 (** Threaded actor runtime executing topologies on real tuples — the
     repository's equivalent of the paper's SS2Akka layer (§4.2).
 
-    Each deployed unit is an actor with a bounded mailbox. By default the
-    actors run as cooperative tasks on an N:M work-stealing pool of
-    [Domain.recommended_domain_count] domains ({!Ss_sched.Sched}) — like
-    Akka's dispatcher multiplexing actors over a thread pool — parking
-    instead of blocking on a full/empty mailbox and draining up to a
-    configurable batch of messages per activation. The historical
-    one-domain-per-actor model remains available as [`Domain_per_actor].
+    Each deployed unit is an actor with a bounded mailbox. The actors run
+    as cooperative tasks on an N:M work-stealing pool of worker domains
+    ({!Ss_sched.Sched}) — like Akka's dispatcher multiplexing actors over a
+    thread pool — parking instead of blocking on a full/empty mailbox and
+    draining up to a configurable batch of messages per activation.
 
-    The deployment shape is the same in both modes:
+    The deployment shape:
     - an ordinary vertex becomes one actor applying its behavior function;
     - a vertex with [n > 1] replicas becomes an emitter actor, [n] worker
       actors (each with an independent behavior instance) and a collector
@@ -56,10 +54,9 @@ type instrument = {
           exactly. Ignored when [telemetry] is off. *)
 }
 (** Runtime instrumentation configuration. When [sample_occupancy] is on,
-    a periodic instrumentation pass runs at the sampling cadence — on the
-    pool's scheduler tick in [`Pool] mode, on a dedicated monitor domain in
-    [`Domain_per_actor] mode — sampling occupancy and refreshing the live
-    telemetry aggregate ({!Ss_telemetry.Telemetry.Collector.live}).
+    a periodic instrumentation pass runs at the sampling cadence on the
+    pool's scheduler tick (on the calling domain), sampling occupancy and
+    refreshing the live telemetry aggregate ({!Ss_telemetry.Telemetry.Collector.live}).
     Telemetry alone never forces a tick: recording happens inline in the
     actors, the live aggregate falls back to merge-on-demand, and the final
     report is merged exactly once after all actors have joined. *)
@@ -79,19 +76,14 @@ type metrics = {
   source_rate : float;  (** Source tuples per wall-clock second. *)
   blocked : float array;
       (** Per vertex: seconds its actors spent waiting on full downstream
-          mailboxes (backpressure), measured on the slow path of every put
-          in {e both} scheduler modes. The semantics differ slightly: in
-          [`Domain_per_actor] mode it is the wall-clock time the actor's
-          domain sat blocked in [Mailbox.put]; in [`Pool] mode it is the
-          park-to-resume time of the suspended task, which additionally
-          includes the scheduling delay until a worker re-runs the task
-          after space opens up. Under contention the pool figure therefore
-          reads slightly higher for the same topology. Fission units
-          aggregate their emitter, workers and collector. *)
+          mailboxes (backpressure), measured on the slow path of every put:
+          the park-to-resume time of the suspended task, which includes the
+          scheduling delay until a worker re-runs the task after space opens
+          up. Fission units aggregate their emitter, workers and
+          collector. *)
   occupancy : float array;
       (** Per vertex: mean sampled occupancy of its entry mailbox (sampled
-          every millisecond — by the pool's scheduler tick in [`Pool] mode,
-          by a monitor domain in [`Domain_per_actor] mode; see
+          every millisecond by the pool's scheduler tick; see
           [instrument.sample_occupancy]); 0 for the source and for
           non-entry members of fused groups. *)
   telemetry : Ss_telemetry.Telemetry.report option;
@@ -109,15 +101,6 @@ type router = Ss_operators.Tuple.t -> int
 (** Returns the index of the chosen successor in the vertex's out-edge list
     (as given by [Topology.succs]). *)
 
-type scheduler = [ `Domain_per_actor | `Pool of int | `Locked_pool of int ]
-(** Execution model: [`Pool w] (the default, with
-    [w = Domain.recommended_domain_count]) multiplexes all actors over [w]
-    worker domains on the lock-free Chase–Lev scheduler;
-    [`Domain_per_actor] spawns one domain per actor and is limited to ~110
-    actors by the OCaml domain budget. [`Locked_pool w] runs the retained
-    mutex-per-deque pool implementation — semantically identical to
-    [`Pool], kept for differential benchmarking of the scheduler core. *)
-
 type batch = [ `Fixed of int | `Adaptive of int ]
 (** Drain policy for pooled-actor mailbox activations. [`Fixed b] always
     offers to drain up to [b] messages. [`Adaptive batch_max] (the
@@ -126,7 +109,7 @@ type batch = [ `Fixed of int | `Adaptive of int ]
     [\[1, batch_max\]]: deep queues earn big amortized drains, near-empty
     latency-sensitive edges drain small and yield. The policy only caps
     how much an activation {e offers} to drain; counts and routing are
-    unaffected, so metrics stay scheduler- and policy-independent. *)
+    unaffected, so metrics stay worker-count- and policy-independent. *)
 
 type ingest
 (** Log-backed source configuration: replay a {!Ss_log.Log} partition set
@@ -165,7 +148,7 @@ val run :
   ?ordered:int list ->
   ?seed:int ->
   ?timeout:float ->
-  ?scheduler:scheduler ->
+  ?workers:int ->
   ?placement:int array ->
   ?batch:batch ->
   ?instrument:instrument ->
@@ -238,11 +221,14 @@ val run :
     (paper §2): their emitter deals strictly round-robin and their
     collector reassembles results in the same order, batching per input so
     any selectivity is supported. [mailbox_capacity] defaults to 64.
-    [timeout] bounds the wall-clock run time in seconds; cancellation is
-    cooperative (it takes effect when an actor next touches a mailbox).
+    [timeout] bounds the wall-clock run time in seconds; it is checked on
+    the pool's tick, and cancellation is cooperative (it takes effect when
+    an actor next touches a mailbox).
 
-    [scheduler] picks the execution model (default [`Pool] sized to the
-    machine). [placement] maps each vertex to an abstract locality node
+    [workers] sizes the lock-free work-stealing pool every actor runs on
+    (default [Domain.recommended_domain_count], at least 1); a run uses
+    [workers] domains plus the calling one, whatever the actor count.
+    [placement] maps each vertex to an abstract locality node
     (typically an {!Ss_placement} assignment, [placement.(v) = node]):
     node ids are normalized to dense scheduler groups (collapsed by
     modulo when there are more nodes than workers), the pool's workers
@@ -251,24 +237,21 @@ val run :
     group, so wakeups stay group-local and stealing prefers same-group
     victims. Default: one group, exactly the ungrouped behavior. Counts
     and routing are placement-independent; only locality changes.
-    Placement is ignored under [`Domain_per_actor].
     [batch] (default [`Adaptive 32]) sets the per-activation
     drain policy of pooled actors. Each edge gets the single-producer ring
     when one actor feeds it and the multi-producer ring otherwise (see
     {!Mailbox}). [instrument] (default
     {!default_instrument}) selects runtime instrumentation: occupancy
-    sampling and/or telemetry recording; when occupancy sampling is off no
-    monitor domain is spawned in [`Domain_per_actor] mode and the pool
-    skips its tick. Per-vertex [consumed]/[produced] counts — and with telemetry on,
-    per-edge transfer counts — are identical across schedulers for
-    deterministic behaviors: routing draws depend only on per-vertex tuple
-    ordinals, not on interleaving.
+    sampling and/or telemetry recording; with occupancy sampling off and no
+    [timeout] the pool skips its tick. Per-vertex [consumed]/[produced]
+    counts — and with telemetry on, per-edge transfer counts — are
+    identical across worker counts and placements for deterministic
+    behaviors: routing draws depend only on per-vertex tuple ordinals, not
+    on interleaving.
     @raise Invalid_argument on overlapping or illegal fused groups, a
-    replicated source, a non-positive [timeout], a non-positive pool size,
-    [batch] or [flush_every], an [ordered] vertex that is not replicated
-    stateless, or —
-    in [`Domain_per_actor] mode only — an actor count above the domain
-    budget. *)
+    replicated source, a non-positive [timeout], [workers < 1], a
+    non-positive [batch] or [flush_every], or an [ordered] vertex that is
+    not replicated stateless. *)
 
 (** Live deployments: run a topology on a background domain while keeping a
     handle for online observation and reconfiguration — the execution side
@@ -304,7 +287,6 @@ module Live : sig
     ?timeout:float ->
     ?workers:int ->
     ?reserve:int ->
-    ?locked:bool ->
     ?batch:batch ->
     ?instrument:instrument ->
     source:(unit -> Ss_operators.Tuple.t option) ->
@@ -316,8 +298,7 @@ module Live : sig
       [replicas] degree. Parameters mirror {!run} where shared; [workers]
       sizes the pool (default [Domain.recommended_domain_count]),
       [reserve] adds dormant worker slots for {!add_workers} (default 0),
-      [locked] selects the [`Locked_pool] scheduler core, and telemetry
-      defaults {e on} (the controller needs it). [fused]/[fusion]/[chains]/
+      and telemetry defaults {e on} (the controller needs it). [fused]/[fusion]/[chains]/
       [flush_every] mirror {!run}; a fused group whose front operator is
       replicated and whose staged instance can migrate its state deploys
       as an {e elastic} unit resizable through {!resize} (address it by its

@@ -12,7 +12,7 @@
     then run on any worker. The scheduler itself knows nothing about
     mailboxes; the blocking protocol lives with the caller.
 
-    The default implementation is lock-free on the hot path: each worker
+    The pool is lock-free on the hot path: each worker
     owns a Chase–Lev deque (push/pop without locks, thieves CAS the top),
     cross-domain wakeups land on a per-group lock-free injection stack, and
     idle workers spin briefly before parking on a single-waiter list where
@@ -20,22 +20,24 @@
     partitioned into locality {e groups}: a task spawned with [?group] has
     its wakeups routed to that group's deques and its group's workers steal
     from each other before raiding foreign groups, emulating NUMA/placement
-    domains in process. The previous mutex-per-deque implementation is kept
-    as [`Locked] for differential benchmarking.
+    domains in process.
 
     The pool terminates when every spawned task has returned or raised. *)
 
 type t
 
+val default_workers : unit -> int
+(** The pool size used when no worker count is given:
+    [Domain.recommended_domain_count ()], clamped to at least 1. *)
+
 val create :
   ?workers:int ->
   ?groups:int array ->
   ?reserve:int ->
-  ?impl:[ `Lockfree | `Locked ] ->
   unit ->
   t
-(** [create ()] makes a pool with [Domain.recommended_domain_count] workers
-    (clamped to at least 1); [?workers] overrides the count.
+(** [create ()] makes a pool with {!default_workers} workers; [?workers]
+    overrides the count.
 
     [?groups] partitions the workers into locality groups: [groups.(g)] is
     the number of workers in group [g] (each must be [>= 1]); when both
@@ -50,11 +52,6 @@ val create :
     spawning or joining a domain. Reserve slots do not count toward
     [workers]/[groups].
 
-    [?impl] selects the scheduler core: [`Lockfree] (default) is the
-    Chase–Lev deque pool; [`Locked] is the retained mutex-per-deque
-    baseline (it accepts [?groups] for interface parity but schedules
-    without locality, and ignores [?reserve]).
-
     @raise Invalid_argument if [workers < 1], a group is empty, the
     group sizes disagree with [workers], or [reserve < 0]. *)
 
@@ -68,12 +65,12 @@ val groups : t -> int array
 
 val active_workers : t -> int
 (** Workers currently executing tasks: [workers t] plus activated reserve
-    slots. For the [`Locked] baseline this is always [workers t]. *)
+    slots. *)
 
 val add_workers : t -> int -> int
 (** [add_workers t k] activates up to [k] dormant reserve workers and
     returns how many were actually activated (0 when the reserve is
-    exhausted, or on the [`Locked] baseline). Safe to call from any domain
+    exhausted). Safe to call from any domain
     while the pool runs.
     @raise Invalid_argument if [k < 0]. *)
 

@@ -504,8 +504,8 @@ let replay ?(fused = []) ?(seed = 42) ~tuples topology =
   (* Identity behaviors: one result per input, so a tuple's life is a walk
      from the source to a sink. Routing draws depend only on per-vertex
      ordinals, never on the interleaving of actors, which is what makes
-     the runtime's counts reproducible here (and equal across the pool and
-     domain-per-actor schedulers). *)
+     the runtime's counts reproducible here (and equal across worker
+     counts and placements). *)
   let rec walk v =
     if v <> src then begin
       consumed.(v) <- consumed.(v) + 1;

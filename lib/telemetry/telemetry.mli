@@ -6,7 +6,7 @@
     lock-free: every actor owns a private {!Sink} (histograms plus an edge
     counter array) that only it writes; a {!Collector} created alongside the
     run knows every sink and merges them on demand — periodically from the
-    scheduler tick or monitor domain (a {e live} snapshot readable while the
+    scheduler tick (a {e live} snapshot readable while the
     topology runs) and once more after all actors have joined (the final
     {!report}). Races on a sink's plain fields during a live merge can read
     slightly stale values but never tear or crash (OCaml 5 memory model);
@@ -83,8 +83,7 @@ module Collector : sig
 
   val refresh : t -> unit
   (** Merge every sink into the cached live snapshot; called periodically
-      by the scheduler tick (pool mode) or the monitor domain
-      (domain-per-actor mode) when occupancy sampling keeps one running. *)
+      by the scheduler tick when occupancy sampling keeps one running. *)
 
   val live : t -> report
   (** A snapshot readable while the topology runs: the last {!refresh}

@@ -80,10 +80,10 @@ let generate_code t ?version ?fused ?fusion ?tuples () =
   Ss_codegen.Codegen.program ?fused ?fusion ?tuples (topology t ?version ())
 
 let execute t ?version ?ingest ?mailbox_capacity ?fused ?fusion ?ordered ?seed
-    ?tuples ?timeout ?scheduler ?placement ?batch ?instrument
+    ?tuples ?timeout ?workers ?placement ?batch ?instrument
     ?event_time ?disorder () =
   Ss_codegen.Plan.run ?ingest ?mailbox_capacity ?fused ?fusion ?ordered ?seed
-    ?tuples ?timeout ?scheduler ?placement ?batch ?instrument
+    ?tuples ?timeout ?workers ?placement ?batch ?instrument
     ?event_time ?disorder
     (topology t ?version ())
 

@@ -93,7 +93,7 @@ val execute :
   ?seed:int ->
   ?tuples:int ->
   ?timeout:float ->
-  ?scheduler:Ss_runtime.Executor.scheduler ->
+  ?workers:int ->
   ?placement:int array ->
   ?batch:Ss_runtime.Executor.batch ->
   ?instrument:Ss_runtime.Executor.instrument ->
@@ -106,8 +106,8 @@ val execute :
     with [ingest], replay a durable {!Ss_log.Log} with at-least-once
     delivery. Never hangs on operator failure: the returned metrics carry the structured
     per-actor outcome, and [timeout] bounds the wall-clock run.
-    [scheduler] picks the execution model (default: an N:M pool sized to
-    the machine; [`Domain_per_actor] restores one domain per actor);
+    [workers] sizes the N:M pool the actors run on (default: the
+    machine's recommended domain count);
     [placement] pins each vertex's actors to a pool locality group from an
     {!Ss_placement} node assignment (see {!Ss_runtime.Executor.run});
     [batch] sets the drain policy of pooled-actor activations (default

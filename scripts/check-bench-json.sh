@@ -20,7 +20,8 @@ import glob, json, os, sys
 REQUIRED = {
     "BENCH_elastic.json": ["section", "offered_rate", "static_rate",
                            "elastic_final_rate", "ratio", "epochs"],
-    "BENCH_sched.json": ["section", "cores", "ratio", "idle", "serial"],
+    "BENCH_sched.json": ["section", "cores", "grouped_regression_pct",
+                         "idle", "saturated"],
     "BENCH_telemetry.json": ["section", "rate_off", "rate_on",
                              "overhead_pct", "latency_ms"],
     "BENCH_mailbox.json": ["section", "pipeline", "sweep", "testbed", "fig11"],

@@ -873,35 +873,31 @@ let test_fault_free_run_reports_completed () =
 
 let test_backpressure_is_measured () =
   (* A slow sink behind a tiny mailbox forces the source to block; the
-     blocked-time metric must observe it under both execution models
-     (wall-clock blocking in [Mailbox.put] for domains, park-to-resume
-     time for pooled tasks). *)
+     blocked-time metric (park-to-resume time of the source task) must
+     observe it. *)
   let t =
     Topology.create_exn [| op "src" 0.01; op "sink" 0.01 |] [ (0, 1, 1.0) ]
   in
-  List.iter
-    (fun (name, scheduler) ->
-      let slow_sink =
-        Behavior.make ~name:"slow_sink" (fun () t ->
-            Unix.sleepf 0.002;
-            [ t ])
-      in
-      let inputs = List.init 100 (fun i -> tuple [| float_of_int i |]) in
-      let m =
-        with_watchdog (fun () ->
-            Executor.run ~scheduler ~mailbox_capacity:1
-              ~source:(Executor.source_of_list inputs)
-              ~registry:(registry_of [ (1, slow_sink) ])
-              t)
-      in
-      Alcotest.(check bool) (name ^ ": finished") true
-        (m.Executor.outcome = Supervision.Finished);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: source blocked time observed (%.4fs)" name
-           m.Executor.blocked.(0))
-        true
-        (m.Executor.blocked.(0) > 0.01))
-    [ ("pool", `Pool 2); ("domains", `Domain_per_actor) ]
+  let slow_sink =
+    Behavior.make ~name:"slow_sink" (fun () t ->
+        Unix.sleepf 0.002;
+        [ t ])
+  in
+  let inputs = List.init 100 (fun i -> tuple [| float_of_int i |]) in
+  let m =
+    with_watchdog (fun () ->
+        Executor.run ~workers:2 ~mailbox_capacity:1
+          ~source:(Executor.source_of_list inputs)
+          ~registry:(registry_of [ (1, slow_sink) ])
+          t)
+  in
+  Alcotest.(check bool) "finished" true
+    (m.Executor.outcome = Supervision.Finished);
+  Alcotest.(check bool)
+    (Printf.sprintf "source blocked time observed (%.4fs)"
+       m.Executor.blocked.(0))
+    true
+    (m.Executor.blocked.(0) > 0.01)
 
 let test_replicated_source_rejected () =
   let ops = [| Operator.make ~service_time:1e-3 ~replicas:2 "src"; op "s" 0.1 |] in
@@ -1188,9 +1184,9 @@ let test_mpsc_pool_stress () =
       Alcotest.(check int) "exactly once, in per-producer order" 0 !dup_or_gap)
 
 (* ------------------------------------------------------------------ *)
-(* Pool mode: supervision parity with the domain-per-actor mode *)
+(* Pool supervision, worker-count validation and scale *)
 
-let failure_metrics scheduler =
+let failure_metrics () =
   let t =
     Topology.create_exn
       [| op "src" 0.01; op "bomb" 0.01; op "sink" 0.01 |]
@@ -1198,25 +1194,21 @@ let failure_metrics scheduler =
   in
   let inputs = List.init 5000 (fun i -> tuple [| float_of_int i |]) in
   with_watchdog (fun () ->
-      Executor.run ~scheduler ~mailbox_capacity:4
+      Executor.run ~workers:2 ~mailbox_capacity:4
         ~source:(Executor.source_of_list inputs)
         ~registry:(registry_of [ (1, bomb ~at:50.0); (2, Stateless_ops.identity) ])
         t)
 
 let test_pool_failure_parity () =
-  let pool = failure_metrics (`Pool 2) in
-  let legacy = failure_metrics `Domain_per_actor in
+  let pool = failure_metrics () in
   check_failed_outcome ~vertex:1 pool;
-  check_failed_outcome ~vertex:1 legacy;
-  match (pool.Executor.outcome, legacy.Executor.outcome) with
-  | Supervision.Actor_failed p, Supervision.Actor_failed l ->
-      Alcotest.(check string) "same failing actor" l.Supervision.actor
-        p.Supervision.actor;
-      Alcotest.(check (option int)) "same failing vertex" l.Supervision.vertex
+  match pool.Executor.outcome with
+  | Supervision.Actor_failed p ->
+      Alcotest.(check (option int)) "failing vertex" (Some 1)
         p.Supervision.vertex
-  | _ -> Alcotest.fail "expected Actor_failed in both modes"
+  | _ -> Alcotest.fail "expected Actor_failed"
 
-let timeout_metrics scheduler =
+let timeout_metrics () =
   let slow_sink =
     Behavior.make ~name:"slow_sink" (fun () t ->
         Unix.sleepf 0.02;
@@ -1227,58 +1219,69 @@ let timeout_metrics scheduler =
   in
   let inputs = List.init 500 (fun i -> tuple [| float_of_int i |]) in
   with_watchdog (fun () ->
-      Executor.run ~scheduler ~timeout:0.15
+      Executor.run ~workers:2 ~timeout:0.15
         ~source:(Executor.source_of_list inputs)
         ~registry:(registry_of [ (1, slow_sink) ])
         t)
 
 let test_pool_timeout_parity () =
-  let pool = timeout_metrics (`Pool 2) in
-  let legacy = timeout_metrics `Domain_per_actor in
-  List.iter
-    (fun (m : Executor.metrics) ->
-      (match m.Executor.outcome with
-      | Supervision.Timed_out s ->
-          Alcotest.(check (float 1e-9)) "timeout value reported" 0.15 s
-      | _ -> Alcotest.fail "expected Timed_out outcome");
-      Alcotest.(check bool) "shut down promptly" true (m.Executor.elapsed < 5.0))
-    [ pool; legacy ]
+  let m = timeout_metrics () in
+  (match m.Executor.outcome with
+  | Supervision.Timed_out s ->
+      Alcotest.(check (float 1e-9)) "timeout value reported" 0.15 s
+  | _ -> Alcotest.fail "expected Timed_out outcome");
+  Alcotest.(check bool) "shut down promptly" true (m.Executor.elapsed < 5.0)
 
 let identity_registry vs =
   registry_of (List.map (fun v -> (v, Stateless_ops.identity)) vs)
 
 let test_sample_occupancy_gating () =
-  (* With sampling off, no monitor domain (legacy) / no tick (pool) runs
-     and the occupancy metric is all zeros; everything else is intact. *)
+  (* With sampling off, the pool runs no tick and the occupancy metric is
+     all zeros; everything else is intact. *)
   let t =
     Topology.create_exn [| op "src" 0.01; op "sink" 0.01 |] [ (0, 1, 1.0) ]
   in
-  List.iter
-    (fun scheduler ->
-      let m =
-        with_watchdog (fun () ->
-            Executor.run ~scheduler
-              ~instrument:
-                { Executor.default_instrument with sample_occupancy = false }
-              ~source:
-                (Executor.source_of_fn ~count:200 (fun i ->
-                     tuple [| float_of_int i |]))
-              ~registry:(identity_registry [ 1 ])
-              t)
-      in
-      Alcotest.(check bool) "finished" true
-        (m.Executor.outcome = Supervision.Finished);
-      Alcotest.(check int) "counts intact" 200 m.Executor.consumed.(1);
-      Array.iter
-        (fun o -> Alcotest.(check (float 0.)) "occupancy zero" 0.0 o)
-        m.Executor.occupancy)
-    [ `Pool 2; `Domain_per_actor ]
+  let m =
+    with_watchdog (fun () ->
+        Executor.run ~workers:2
+          ~instrument:
+            { Executor.default_instrument with sample_occupancy = false }
+          ~source:
+            (Executor.source_of_fn ~count:200 (fun i ->
+                 tuple [| float_of_int i |]))
+          ~registry:(identity_registry [ 1 ])
+          t)
+  in
+  Alcotest.(check bool) "finished" true
+    (m.Executor.outcome = Supervision.Finished);
+  Alcotest.(check int) "counts intact" 200 m.Executor.consumed.(1);
+  Array.iter
+    (fun o -> Alcotest.(check (float 0.)) "occupancy zero" 0.0 o)
+    m.Executor.occupancy
+
+let test_workers_validated () =
+  (* The pool size is the executor's one scheduling input: a pool with no
+     worker is rejected up front, also when [Live.start] re-raises the
+     deployment domain's error. *)
+  let t =
+    Topology.create_exn [| op "src" 0.01; op "sink" 0.01 |] [ (0, 1, 1.0) ]
+  in
+  Alcotest.check_raises "run ~workers:0"
+    (Invalid_argument "Executor.run: workers must be >= 1") (fun () ->
+      ignore
+        (Executor.run ~workers:0 ~source:(Executor.source_of_list [])
+           ~registry:(identity_registry [ 1 ]) t));
+  Alcotest.check_raises "Live.start ~workers:0"
+    (Invalid_argument "Executor.run: workers must be >= 1") (fun () ->
+      ignore
+        (Executor.Live.start ~workers:0 ~source:(Executor.source_of_list [])
+           ~registry:(identity_registry [ 1 ]) t))
 
 let test_pool_scales_past_domain_budget () =
-  (* 40 replicated stages deploy as 201 actors (source + 40×(emitter +
-     3 workers + collector)): far beyond the legacy domain budget, routine
-     for the pool — and the whole run needs only the pool's 2 workers plus
-     the calling domain. *)
+  (* 40 replicated stages deploy as 202 actors (source + 40×(emitter +
+     3 workers + collector) + sink): more than OCaml's domain budget could
+     hold one domain each, routine for the pool — and the whole run needs
+     only the pool's 2 workers plus the calling domain. *)
   let stages = 40 in
   let ops =
     Array.init (stages + 2) (fun i ->
@@ -1291,83 +1294,55 @@ let test_pool_scales_past_domain_budget () =
   let edges = List.init (stages + 1) (fun i -> (i, i + 1, 1.0)) in
   let t = Topology.create_exn ops edges in
   let vs = List.init (stages + 1) (fun i -> i + 1) in
-  (try
-     ignore
-       (Executor.run ~scheduler:`Domain_per_actor
-          ~source:(Executor.source_of_list [])
-          ~registry:(identity_registry vs) t);
-     Alcotest.fail "expected domain-budget rejection"
-   with Invalid_argument _ -> ());
   let m =
     with_watchdog ~limit:60.0 (fun () ->
-        Executor.run ~scheduler:(`Pool 2)
+        Executor.run ~workers:2
           ~source:
             (Executor.source_of_fn ~count:300 (fun i ->
                  tuple [| float_of_int i |]))
           ~registry:(identity_registry vs) t)
   in
   Alcotest.(check bool) "finished" true (m.Executor.outcome = Supervision.Finished);
+  Alcotest.(check int) "every actor reported" ((stages * 5) + 2)
+    (List.length m.Executor.actors);
   Alcotest.(check int) "sink saw every tuple" 300 m.Executor.consumed.(stages + 1)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler equivalence: pool counts = domain-per-actor counts = the
-   counts the DES replay predicts for the same seed *)
+(* Equivalence: pool counts = the counts the DES replay predicts for the
+   same seed, with and without a placement *)
 
-let run_with scheduler ?placement ?fused ?ordered topo vs ~tuples ~seed =
+let run_with ?placement ?fused ?ordered topo vs ~tuples ~seed =
   with_watchdog (fun () ->
-      Executor.run ~scheduler ?placement ?fused ?ordered ~seed
+      Executor.run ~workers:2 ?placement ?fused ?ordered ~seed
         ~source:
           (Executor.source_of_fn ~count:tuples (fun i ->
                tuple [| float_of_int i |]))
         ~registry:(identity_registry vs) topo)
 
 let check_equivalence ?fused ?ordered ~name build vs ~tuples ~seed =
-  let pool = run_with (`Pool 2) ?fused ?ordered (build ()) vs ~tuples ~seed in
-  let legacy =
-    run_with `Domain_per_actor ?fused ?ordered (build ()) vs ~tuples ~seed
-  in
+  let pool = run_with ?fused ?ordered (build ()) vs ~tuples ~seed in
   let replay_consumed, replay_produced =
     Ss_sim.Engine.replay ?fused ~seed ~tuples (build ())
   in
   Alcotest.(check bool) (name ^ ": pool finished") true
     (pool.Executor.outcome = Supervision.Finished);
-  Alcotest.(check bool) (name ^ ": legacy finished") true
-    (legacy.Executor.outcome = Supervision.Finished);
-  Alcotest.(check (array int)) (name ^ ": consumed, pool = legacy")
-    legacy.Executor.consumed pool.Executor.consumed;
-  Alcotest.(check (array int)) (name ^ ": produced, pool = legacy")
-    legacy.Executor.produced pool.Executor.produced;
   Alcotest.(check (array int)) (name ^ ": consumed = DES replay")
     replay_consumed pool.Executor.consumed;
   Alcotest.(check (array int)) (name ^ ": produced = DES replay")
     replay_produced pool.Executor.produced;
-  (* Placement-partitioned and locked-baseline variants must produce the
-     same per-vertex counts: locality and scheduler core change where
-     actors run, never what they compute. *)
-  List.iter
-    (fun (variant, scheduler, with_placement) ->
-      let topo = build () in
-      let placement =
-        if with_placement then
-          Some (Array.init (Topology.size topo) (fun v -> v mod 2))
-        else None
-      in
-      let m = run_with scheduler ?placement ?fused ?ordered topo vs ~tuples ~seed in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (%s): finished" name variant)
-        true
-        (m.Executor.outcome = Supervision.Finished);
-      Alcotest.(check (array int))
-        (Printf.sprintf "%s (%s): consumed = legacy" name variant)
-        legacy.Executor.consumed m.Executor.consumed;
-      Alcotest.(check (array int))
-        (Printf.sprintf "%s (%s): produced = legacy" name variant)
-        legacy.Executor.produced m.Executor.produced)
-    [
-      ("pool+placement", `Pool 2, true);
-      ("locked pool", `Locked_pool 2, false);
-      ("locked pool+placement", `Locked_pool 2, true);
-    ]
+  (* A placement-partitioned pool must produce the same per-vertex counts:
+     locality changes where actors run, never what they compute. *)
+  let topo = build () in
+  let placement = Array.init (Topology.size topo) (fun v -> v mod 2) in
+  let grouped = run_with ~placement ?fused ?ordered topo vs ~tuples ~seed in
+  Alcotest.(check bool) (name ^ " (pool+placement): finished") true
+    (grouped.Executor.outcome = Supervision.Finished);
+  Alcotest.(check (array int))
+    (name ^ " (pool+placement): consumed = ungrouped pool")
+    pool.Executor.consumed grouped.Executor.consumed;
+  Alcotest.(check (array int))
+    (name ^ " (pool+placement): produced = ungrouped pool")
+    pool.Executor.produced grouped.Executor.produced
 
 let test_equivalence_plain () =
   check_equivalence ~name:"plain"
@@ -1419,7 +1394,7 @@ let test_equivalence_fused () =
 
 (* The `--groups auto` path at library level: partition a fissioned
    topology with the communication-aware placement and check the grouped
-   pool's counts against the ungrouped pool and `Domain_per_actor. *)
+   pool's counts against the ungrouped pool and [Engine.replay]. *)
 let test_equivalence_placement_assignment () =
   let build () =
     Topology.create_exn
@@ -1438,21 +1413,21 @@ let test_equivalence_placement_assignment () =
     in
     Ss_placement.Placement.communication_aware cluster (build ())
   in
-  let grouped =
-    run_with (`Pool 2) ~placement (build ()) vs ~tuples ~seed
+  let grouped = run_with ~placement (build ()) vs ~tuples ~seed in
+  let ungrouped = run_with (build ()) vs ~tuples ~seed in
+  let replay_consumed, replay_produced =
+    Ss_sim.Engine.replay ~seed ~tuples (build ())
   in
-  let ungrouped = run_with (`Pool 2) (build ()) vs ~tuples ~seed in
-  let legacy = run_with `Domain_per_actor (build ()) vs ~tuples ~seed in
   Alcotest.(check bool) "placement: grouped finished" true
     (grouped.Executor.outcome = Supervision.Finished);
   Alcotest.(check (array int)) "placement: consumed, grouped = ungrouped"
     ungrouped.Executor.consumed grouped.Executor.consumed;
   Alcotest.(check (array int)) "placement: produced, grouped = ungrouped"
     ungrouped.Executor.produced grouped.Executor.produced;
-  Alcotest.(check (array int)) "placement: consumed, grouped = domains"
-    legacy.Executor.consumed grouped.Executor.consumed;
-  Alcotest.(check (array int)) "placement: produced, grouped = domains"
-    legacy.Executor.produced grouped.Executor.produced
+  Alcotest.(check (array int)) "placement: consumed, grouped = DES replay"
+    replay_consumed grouped.Executor.consumed;
+  Alcotest.(check (array int)) "placement: produced, grouped = DES replay"
+    replay_produced grouped.Executor.produced
 
 let test_placement_validation () =
   let build () =
@@ -1463,46 +1438,42 @@ let test_placement_validation () =
   Alcotest.check_raises "wrong length"
     (Invalid_argument "Executor.run: placement length must equal topology size")
     (fun () ->
-      ignore (run_with (`Pool 2) ~placement:[| 0 |] (build ()) [ 1 ] ~tuples:10 ~seed:3));
+      ignore (run_with ~placement:[| 0 |] (build ()) [ 1 ] ~tuples:10 ~seed:3));
   Alcotest.check_raises "negative node"
     (Invalid_argument "Executor.run: placement nodes must be >= 0")
     (fun () ->
       ignore
-        (run_with (`Pool 2) ~placement:[| 0; -1 |] (build ()) [ 1 ] ~tuples:10
+        (run_with ~placement:[| 0; -1 |] (build ()) [ 1 ] ~tuples:10
            ~seed:3));
   (* More nodes than workers: groups collapse by modulo instead of
      starving a group of workers. *)
   let m =
-    run_with (`Pool 2) ~placement:[| 0; 5 |] (build ()) [ 1 ] ~tuples:10 ~seed:3
+    run_with ~placement:[| 0; 5 |] (build ()) [ 1 ] ~tuples:10 ~seed:3
   in
   Alcotest.(check bool) "collapsed placement finished" true
     (m.Executor.outcome = Supervision.Finished)
 
 let test_channel_failure_parity () =
   (* Failure injection must poison ring-backed edges: a failing operator
-     yields the same structured outcome under every scheduler. *)
+     yields a structured failure outcome. *)
   let t () =
     Topology.create_exn
       [| op "src" 0.01; op "bomb" 0.01; op "sink" 0.01 |]
       [ (0, 1, 1.0); (1, 2, 1.0) ]
   in
   let inputs = List.init 5000 (fun i -> tuple [| float_of_int i |]) in
-  List.iter
-    (fun scheduler ->
-      let m =
-        with_watchdog (fun () ->
-            Executor.run ~scheduler ~mailbox_capacity:4
-              ~source:(Executor.source_of_list inputs)
-              ~registry:
-                (registry_of [ (1, bomb ~at:50.0); (2, Stateless_ops.identity) ])
-              (t ()))
-      in
-      match m.Executor.outcome with
-      | Supervision.Actor_failed _ -> ()
-      | outcome ->
-          Alcotest.failf "expected Failed, got %a" Supervision.pp_outcome
-            outcome)
-    [ `Pool 2; `Domain_per_actor ]
+  let m =
+    with_watchdog (fun () ->
+        Executor.run ~workers:2 ~mailbox_capacity:4
+          ~source:(Executor.source_of_list inputs)
+          ~registry:
+            (registry_of [ (1, bomb ~at:50.0); (2, Stateless_ops.identity) ])
+          (t ()))
+  in
+  match m.Executor.outcome with
+  | Supervision.Actor_failed _ -> ()
+  | outcome ->
+      Alcotest.failf "expected Failed, got %a" Supervision.pp_outcome outcome
 
 let test_batch_policies () =
   (* The drain policy is a scheduling knob: fixed and adaptive drains must
@@ -1514,7 +1485,7 @@ let test_batch_policies () =
   in
   let run batch =
     with_watchdog (fun () ->
-        Executor.run ~scheduler:(`Pool 2) ~batch ~seed:3
+        Executor.run ~workers:2 ~batch ~seed:3
           ~source:
             (Executor.source_of_fn ~count:800 (fun i ->
                  tuple [| float_of_int i |]))
@@ -1539,7 +1510,7 @@ let test_batch_policies () =
     [ `Fixed 0; `Adaptive 0 ]
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: histogram algebra, scheduler equivalence of the recorded
+(* Telemetry: histogram algebra, placement equivalence of the recorded
    counters, and percentile sanity on a live run *)
 
 module H = Ss_telemetry.Histogram
@@ -1625,10 +1596,10 @@ let telemetry_instrument sample =
     telemetry_sample = sample;
   }
 
-let run_telemetry scheduler ?fused ?ordered ?(sample = 1) topo vs ~tuples
+let run_telemetry ?placement ?fused ?ordered ?(sample = 1) topo vs ~tuples
     ~seed =
   with_watchdog (fun () ->
-      Executor.run ~scheduler ?fused ?ordered ~seed
+      Executor.run ~workers:2 ?placement ?fused ?ordered ~seed
         ~instrument:(telemetry_instrument sample)
         ~source:
           (Executor.source_of_fn ~count:tuples (fun i ->
@@ -1637,21 +1608,26 @@ let run_telemetry scheduler ?fused ?ordered ?(sample = 1) topo vs ~tuples
 
 let report m = Option.get m.Executor.telemetry
 
-(* Telemetry must not depend on the execution model: identical edge
-   counts under both schedulers, and with [telemetry_sample = 1] the
-   histogram counts track the consumed counters exactly. *)
+(* Telemetry must not depend on where actors run: identical edge counts
+   with and without a placement, consumed counts equal to [Engine.replay],
+   and with [telemetry_sample = 1] the histogram counts track the consumed
+   counters exactly. *)
 let check_telemetry_equivalence ?fused ?ordered ~name build vs ~tuples ~seed
     =
   let topo = build () in
   let src = Topology.source topo in
-  let pool = run_telemetry (`Pool 2) ?fused ?ordered (build ()) vs ~tuples ~seed in
-  let legacy =
-    run_telemetry `Domain_per_actor ?fused ?ordered (build ()) vs ~tuples ~seed
+  let pool = run_telemetry ?fused ?ordered (build ()) vs ~tuples ~seed in
+  let placement = Array.init (Topology.size topo) (fun v -> v mod 2) in
+  let grouped =
+    run_telemetry ~placement ?fused ?ordered (build ()) vs ~tuples ~seed
   in
-  let r_pool = report pool and r_legacy = report legacy in
+  let r_pool = report pool and r_grouped = report grouped in
   Alcotest.(check (list (triple int int int)))
-    (name ^ ": edge counts, pool = legacy")
-    r_legacy.Ss_telemetry.Telemetry.edges r_pool.Ss_telemetry.Telemetry.edges;
+    (name ^ ": edge counts, grouped = ungrouped pool")
+    r_pool.Ss_telemetry.Telemetry.edges r_grouped.Ss_telemetry.Telemetry.edges;
+  Alcotest.(check (array int)) (name ^ ": consumed = DES replay")
+    (fst (Ss_sim.Engine.replay ?fused ~seed ~tuples (build ())))
+    pool.Executor.consumed;
   List.iter
     (fun (m, r, side) ->
       (* every consumed tuple entered over some edge *)
@@ -1675,7 +1651,7 @@ let check_telemetry_equivalence ?fused ?ordered ~name build vs ~tuples ~seed
               (H.count r.Ss_telemetry.Telemetry.service.(v))
           end)
         m.Executor.consumed)
-    [ (pool, r_pool, "pool"); (legacy, r_legacy, "legacy") ]
+    [ (pool, r_pool, "pool"); (grouped, r_grouped, "grouped") ]
 
 let test_telemetry_equivalence_plain () =
   check_telemetry_equivalence ~name:"plain"
@@ -1722,7 +1698,7 @@ let test_telemetry_sampling_ratio () =
   in
   let tuples = 100 in
   let m =
-    run_telemetry (`Pool 2) ~sample:3 (build ()) [ 1; 2 ] ~tuples ~seed:5
+    run_telemetry ~sample:3 (build ()) [ 1; 2 ] ~tuples ~seed:5
   in
   let r = report m in
   let ceil_div a b = (a + b - 1) / b in
@@ -1753,7 +1729,7 @@ let busy_wait seconds =
    50% 10 us, 45% 100 us, 4% 400 us, 1% 3 ms by tuple key. The service
    percentiles of the telemetry report must be strictly ordered (the
    paper's latency plots are meaningless on a degenerate histogram). *)
-let test_telemetry_percentiles scheduler () =
+let test_telemetry_percentiles () =
   let topo =
     Topology.create_exn
       [| op "src" 0.15; op "work" 0.1; op "sink" 0.01 |]
@@ -1773,7 +1749,7 @@ let test_telemetry_percentiles scheduler () =
   in
   let m =
     with_watchdog (fun () ->
-        Executor.run ~scheduler ~instrument:(telemetry_instrument 1)
+        Executor.run ~workers:2 ~instrument:(telemetry_instrument 1)
           ~source:
             (Executor.source_of_fn ~count:200 (fun i ->
                  (* pace the source just above the mean service time so
@@ -1921,6 +1897,7 @@ let () =
           quick "occupancy sampling gated" test_sample_occupancy_gating;
           quick "pool scales past the domain budget"
             test_pool_scales_past_domain_budget;
+          quick "workers < 1 rejected" test_workers_validated;
         ] );
       ( "equivalence",
         [
@@ -1943,10 +1920,7 @@ let () =
           quick "counters, fission" test_telemetry_equivalence_fission;
           quick "counters, fused group" test_telemetry_equivalence_fused;
           quick "1-in-k sampling ratio" test_telemetry_sampling_ratio;
-          quick "percentiles non-degenerate (pool)"
-            (test_telemetry_percentiles (`Pool 2));
-          quick "percentiles non-degenerate (domains)"
-            (test_telemetry_percentiles `Domain_per_actor);
+          quick "percentiles non-degenerate (pool)" test_telemetry_percentiles;
           quick "off by default" test_telemetry_off_is_none;
           quick "sample ratio validated" test_telemetry_sample_validated;
         ] );

@@ -1,5 +1,5 @@
-(* Scheduler-core tests: the Chase–Lev lock-free pool and the retained
-   locked baseline, exercised directly (without the executor) through
+(* Scheduler-core tests: the Chase–Lev lock-free pool, exercised
+   directly (without the executor) through
    spawn/suspend/resume/yield storms across worker counts and group
    shapes. The invariants under test: every spawned task runs exactly
    once (no lost or double-run tasks), the pool drains, the first error
@@ -71,43 +71,38 @@ let with_firer f =
       Domain.join d)
     (fun () -> f push)
 
-let impls = [ ("lockfree", `Lockfree); ("locked", `Locked) ]
-
 (* ------------------------------------------------------------------ *)
 (* Shape and validation *)
 
 let test_shape_validation () =
-  List.iter
-    (fun (_, impl) ->
-      Alcotest.check_raises "empty groups" (Invalid_argument
-        "Sched.create: groups must be non-empty") (fun () ->
-          ignore (Sched.create ~groups:[||] ~impl ()));
-      Alcotest.check_raises "zero-sized group" (Invalid_argument
-        "Sched.create: every group needs at least one worker") (fun () ->
-          ignore (Sched.create ~groups:[| 2; 0 |] ~impl ()));
-      Alcotest.check_raises "workers <> sum of groups" (Invalid_argument
-        "Sched.create: workers must equal the sum of groups") (fun () ->
-          ignore (Sched.create ~workers:4 ~groups:[| 2; 1 |] ~impl ()));
-      Alcotest.check_raises "workers < 1" (Invalid_argument
-        "Sched.create: workers must be >= 1") (fun () ->
-          ignore (Sched.create ~workers:0 ~impl ()));
-      let t = Sched.create ~groups:[| 2; 1 |] ~impl () in
-      Alcotest.(check int) "workers = sum of groups" 3 (Sched.workers t);
-      Alcotest.(check (array int)) "groups reported" [| 2; 1 |] (Sched.groups t);
-      Alcotest.check_raises "spawn group out of range" (Invalid_argument
-        "Sched.spawn: group out of range") (fun () ->
-          Sched.spawn ~group:2 t (fun () -> ()));
-      let ungrouped = Sched.create ~workers:2 ~impl () in
-      Alcotest.(check (array int))
-        "default shape is one group" [| 2 |] (Sched.groups ungrouped))
-    impls
+  Alcotest.check_raises "empty groups" (Invalid_argument
+    "Sched.create: groups must be non-empty") (fun () ->
+      ignore (Sched.create ~groups:[||] ()));
+  Alcotest.check_raises "zero-sized group" (Invalid_argument
+    "Sched.create: every group needs at least one worker") (fun () ->
+      ignore (Sched.create ~groups:[| 2; 0 |] ()));
+  Alcotest.check_raises "workers <> sum of groups" (Invalid_argument
+    "Sched.create: workers must equal the sum of groups") (fun () ->
+      ignore (Sched.create ~workers:4 ~groups:[| 2; 1 |] ()));
+  Alcotest.check_raises "workers < 1" (Invalid_argument
+    "Sched.create: workers must be >= 1") (fun () ->
+      ignore (Sched.create ~workers:0 ()));
+  let t = Sched.create ~groups:[| 2; 1 |] () in
+  Alcotest.(check int) "workers = sum of groups" 3 (Sched.workers t);
+  Alcotest.(check (array int)) "groups reported" [| 2; 1 |] (Sched.groups t);
+  Alcotest.check_raises "spawn group out of range" (Invalid_argument
+    "Sched.spawn: group out of range") (fun () ->
+      Sched.spawn ~group:2 t (fun () -> ()));
+  let ungrouped = Sched.create ~workers:2 () in
+  Alcotest.(check (array int))
+    "default shape is one group" [| 2 |] (Sched.groups ungrouped)
 
 (* ------------------------------------------------------------------ *)
 (* Exactly-once execution *)
 
-let run_counting ~impl ~workers ?groups ~tasks body_of =
+let run_counting ~workers ?groups ~tasks body_of =
   let cells = Array.init tasks (fun _ -> Atomic.make 0) in
-  let pool = Sched.create ~workers ?groups ~impl () in
+  let pool = Sched.create ~workers ?groups () in
   for i = 0 to tasks - 1 do
     let group =
       match groups with Some gs -> Some (i mod Array.length gs) | None -> None
@@ -125,137 +120,107 @@ let run_counting ~impl ~workers ?groups ~tasks body_of =
 
 let test_basic_drain () =
   List.iter
-    (fun (_, impl) ->
-      List.iter
-        (fun workers ->
-          run_counting ~impl ~workers ~tasks:64 (fun _ -> ()))
-        [ 1; 2; 4 ])
-    impls
+    (fun workers -> run_counting ~workers ~tasks:64 (fun _ -> ()))
+    [ 1; 2; 4 ]
 
 let test_deque_growth () =
   (* 500 initial tasks on a single worker overflow the 64-slot initial
      ring several times; every yield re-enqueues through the grown
      buffer. *)
-  List.iter
-    (fun (_, impl) ->
-      run_counting ~impl ~workers:1 ~tasks:500 (fun _ ->
-          for _ = 1 to 3 do
-            Sched.yield ()
-          done))
-    impls
+  run_counting ~workers:1 ~tasks:500 (fun _ ->
+      for _ = 1 to 3 do
+        Sched.yield ()
+      done)
 
 let test_grouped_drain () =
-  List.iter
-    (fun (_, impl) ->
-      run_counting ~impl ~workers:3 ~groups:[| 2; 1 |] ~tasks:100 (fun _ ->
-          Sched.yield ()))
-    impls
+  run_counting ~workers:3 ~groups:[| 2; 1 |] ~tasks:100 (fun _ ->
+      Sched.yield ())
 
 let test_nested_spawn () =
   (* Tasks spawned from inside running tasks (inheriting the spawning
      worker's group) must also run exactly once. *)
-  List.iter
-    (fun (_, impl) ->
-      let children = 40 in
-      let cells = Array.init children (fun _ -> Atomic.make 0) in
-      let pool = Sched.create ~workers:2 ~groups:[| 1; 1 |] ~impl () in
-      Sched.spawn pool (fun () ->
-          for i = 0 to children - 1 do
-            Sched.spawn pool (fun () ->
-                Sched.yield ();
-                Atomic.incr cells.(i))
-          done);
-      with_watchdog (fun () -> Sched.run pool);
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check int)
-            (Printf.sprintf "child %d ran exactly once" i)
-            1 (Atomic.get c))
-        cells)
-    impls
+  let children = 40 in
+  let cells = Array.init children (fun _ -> Atomic.make 0) in
+  let pool = Sched.create ~workers:2 ~groups:[| 1; 1 |] () in
+  Sched.spawn pool (fun () ->
+      for i = 0 to children - 1 do
+        Sched.spawn pool (fun () ->
+            Sched.yield ();
+            Atomic.incr cells.(i))
+      done);
+  with_watchdog (fun () -> Sched.run pool);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int)
+        (Printf.sprintf "child %d ran exactly once" i)
+        1 (Atomic.get c))
+    cells
 
 (* ------------------------------------------------------------------ *)
 (* Suspension across domains: mass-park then external wakeups, the
    worst case for the wake-one protocol (a lost wakeup deadlocks). *)
 
 let test_external_resume_storm () =
-  List.iter
-    (fun (_, impl) ->
-      with_firer (fun fire ->
-          run_counting ~impl ~workers:4 ~groups:[| 2; 2 |] ~tasks:100
-            (fun _ ->
-              for _ = 1 to 2 do
-                Sched.suspend ~register:(fun resume ->
-                    fire resume;
-                    true)
-              done)))
-    impls
+  with_firer (fun fire ->
+      run_counting ~workers:4 ~groups:[| 2; 2 |] ~tasks:100 (fun _ ->
+          for _ = 1 to 2 do
+            Sched.suspend ~register:(fun resume ->
+                fire resume;
+                true)
+          done))
 
 let test_register_false_continues () =
-  List.iter
-    (fun (_, impl) ->
-      run_counting ~impl ~workers:2 ~tasks:10 (fun _ ->
-          (* The awaited condition already holds: the task continues
-             without parking. *)
-          Sched.suspend ~register:(fun _resume -> false)))
-    impls
+  run_counting ~workers:2 ~tasks:10 (fun _ ->
+      (* The awaited condition already holds: the task continues without
+         parking. *)
+      Sched.suspend ~register:(fun _resume -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Error propagation: [run] re-raises the first escaping exception after
    the pool drains, and the other tasks still complete. *)
 
 let test_error_propagation () =
-  List.iter
-    (fun (_, impl) ->
-      let ran = Array.init 20 (fun _ -> Atomic.make 0) in
-      let pool = Sched.create ~workers:2 ~impl () in
-      for i = 0 to 19 do
-        Sched.spawn pool (fun () ->
-            Sched.yield ();
-            Atomic.incr ran.(i);
-            if i = 7 then failwith "storm")
-      done;
-      (match with_watchdog (fun () -> Sched.run pool) with
-      | () -> Alcotest.fail "expected run to re-raise the task error"
-      | exception Failure msg ->
-          Alcotest.(check string) "first error propagated" "storm" msg);
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check int)
-            (Printf.sprintf "task %d still ran" i)
-            1 (Atomic.get c))
-        ran)
-    impls
+  let ran = Array.init 20 (fun _ -> Atomic.make 0) in
+  let pool = Sched.create ~workers:2 () in
+  for i = 0 to 19 do
+    Sched.spawn pool (fun () ->
+        Sched.yield ();
+        Atomic.incr ran.(i);
+        if i = 7 then failwith "storm")
+  done;
+  (match with_watchdog (fun () -> Sched.run pool) with
+  | () -> Alcotest.fail "expected run to re-raise the task error"
+  | exception Failure msg ->
+      Alcotest.(check string) "first error propagated" "storm" msg);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "task %d still ran" i) 1 (Atomic.get c))
+    ran
 
 (* ------------------------------------------------------------------ *)
 (* Prompt finish under ?tick: the pool completing must interrupt the
    tick sleep instead of waiting out the full interval. *)
 
 let test_tick_prompt_finish () =
-  List.iter
-    (fun (name, impl) ->
-      let pool = Sched.create ~workers:2 ~impl () in
-      let ticks = ref 0 in
-      (* Long enough that the runner reaches the tick loop while the pool
-         is still busy (so [fn] observably runs), far shorter than the
-         interval (so a prompt return proves the sleep was interrupted). *)
-      Sched.spawn pool (fun () -> Unix.sleepf 0.1);
-      let t0 = Unix.gettimeofday () in
-      with_watchdog (fun () ->
-          Sched.run ~tick:(5.0, fun () -> incr ticks) pool);
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: finish interrupts the 5s tick (took %.3fs)" name
-           elapsed)
-        true (elapsed < 2.5);
-      Alcotest.(check bool) "tick ran at least once" true (!ticks >= 1))
-    impls
+  let pool = Sched.create ~workers:2 () in
+  let ticks = ref 0 in
+  (* Long enough that the runner reaches the tick loop while the pool is
+     still busy (so [fn] observably runs), far shorter than the interval
+     (so a prompt return proves the sleep was interrupted). *)
+  Sched.spawn pool (fun () -> Unix.sleepf 0.1);
+  let t0 = Unix.gettimeofday () in
+  with_watchdog (fun () -> Sched.run ~tick:(5.0, fun () -> incr ticks) pool);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "finish interrupts the 5s tick (took %.3fs)" elapsed)
+    true (elapsed < 2.5);
+  Alcotest.(check bool) "tick ran at least once" true (!ticks >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized storms: arbitrary mixes of yields, immediate suspends,
    externally-resumed suspends and nested spawns over random worker
-   counts and group shapes — exactly-once execution and drain must hold
-   for both implementations. *)
+   counts and group shapes — exactly-once execution and drain must
+   hold. *)
 
 type script = { yields : int; suspends : int; immediates : int; children : int }
 
@@ -285,11 +250,8 @@ let shape_gen =
           map (fun sizes -> (workers, Some sizes)) (distribute (workers - ngroups) ()) );
       ])
 
-let storm_case impl =
-  QCheck.Test.make ~count:25
-    ~name:
-      (Printf.sprintf "storm: exactly-once execution and drain (%s)"
-         (match impl with `Lockfree -> "lockfree" | `Locked -> "locked"))
+let storm_case =
+  QCheck.Test.make ~count:25 ~name:"storm: exactly-once execution and drain"
     (QCheck.make
        QCheck.Gen.(pair shape_gen (list_size (int_range 1 40) script_gen)))
     (fun ((workers, groups), scripts) ->
@@ -301,7 +263,7 @@ let storm_case impl =
       let child_cells = Array.init (max 1 total_children) (fun _ -> Atomic.make 0) in
       let next_child = Atomic.make 0 in
       with_firer (fun fire ->
-          let pool = Sched.create ~workers ?groups ~impl () in
+          let pool = Sched.create ~workers ?groups () in
           let ngroups = Array.length (Sched.groups pool) in
           List.iteri
             (fun i s ->
@@ -357,7 +319,6 @@ let () =
         ] );
       ( "storm",
         [
-          QCheck_alcotest.to_alcotest (storm_case `Lockfree);
-          QCheck_alcotest.to_alcotest (storm_case `Locked);
+          QCheck_alcotest.to_alcotest storm_case;
         ] );
     ]
